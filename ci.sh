@@ -64,6 +64,8 @@ trace = json.load(open('traces/trace_smoke.json'))
 assert len(trace['traceEvents']) >= 6, trace.keys()
 metrics = json.load(open('traces/metrics_smoke.json'))
 assert 'route/overflow' in metrics['series']
+for counter in ('place/hpwl_cache_hits', 'place/hpwl_cache_inits'):
+    assert metrics['counters'].get(counter, 0) > 0, (counter, metrics['counters'].keys())
 print('obs trace OK:', len(trace['traceEvents']), 'events')
 metrics = json.load(open('traces/metrics_smoke_analytical.json'))
 assert 'place/nesterov_iters' in metrics['counters'], metrics['counters'].keys()

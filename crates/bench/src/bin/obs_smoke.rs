@@ -26,17 +26,22 @@ fn main() {
         stages.len() >= 6,
         "expected >=6 instrumented stages, got {stages:?}"
     );
+    // the HPWL cache counters feed perfbench's
+    // `place.hpwl_cache_hit_ratio`: an anneal that bypasses the cache
+    // would silently zero it
     for metric in [
         "route/iterations",
         "place/fm_passes",
         "place/anneal_proposals",
+        "place/hpwl_cache_hits",
+        "place/hpwl_cache_inits",
         "sta/arcs_evaluated",
         "extract/nets",
     ] {
         assert!(
-            trace.metrics.counters.contains_key(metric),
-            "metric {metric} missing from {:?}",
-            trace.metrics.counters.keys().collect::<Vec<_>>()
+            trace.metrics.counters.get(metric).is_some_and(|&v| v > 0),
+            "metric {metric} missing or zero in {:?}",
+            trace.metrics.counters
         );
     }
     assert!(

@@ -408,10 +408,16 @@ impl DseClient {
         // expensive reusable prefix
         let slot = (spec.stage_keys().prefix[1] % self.inner.workers as u64) as usize;
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+        // `Queued` must be on record before the push makes the job
+        // visible: a worker may finish a cache hit before this thread
+        // runs again, and a later insert would overwrite its `Done`
+        lock(&self.inner.states).insert(id, JobState::Queued);
         {
             let mut q = lock(&self.inner.queue);
             loop {
                 if q.shutdown {
+                    drop(q);
+                    lock(&self.inner.states).remove(&id);
                     return Err(SubmitError::ShuttingDown);
                 }
                 if q.queued < self.inner.cfg.queue_capacity {
@@ -426,7 +432,6 @@ impl DseClient {
             q.queues[slot].push_back((id, spec));
             q.queued += 1;
         }
-        lock(&self.inner.states).insert(id, JobState::Queued);
         self.inner.queue_cv.notify_one();
         Ok(JobId(id))
     }

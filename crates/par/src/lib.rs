@@ -4,11 +4,13 @@
 //! The hot engine loops (batched global routing, per-net extraction,
 //! STA endpoint checks) are embarrassingly parallel over independent
 //! items. This crate provides the rayon-style primitives they share —
-//! an order-preserving parallel map with per-worker scratch state and
-//! a parallel fold — built directly on [`std::thread::scope`] because
-//! this build environment cannot fetch rayon itself. The API mirrors
-//! rayon's `par_iter().map_with(..)` idiom so a future swap to rayon
-//! is mechanical.
+//! an order-preserving parallel map with per-worker scratch state,
+//! variants of it that write into caller-owned buffers (so iterative
+//! solvers allocate their outputs once), and a parallel fold — built
+//! directly on [`std::thread::scope`] because this build environment
+//! cannot fetch rayon itself. The API mirrors rayon's
+//! `par_iter().map_with(..)` idiom so a future swap to rayon is
+//! mechanical.
 //!
 //! **Determinism contract:** every function here returns results
 //! identical to its serial equivalent, bit for bit, regardless of the
@@ -282,6 +284,162 @@ where
     parallel_map_with(items, par, || (), |(), ix, item| f(ix, item))
 }
 
+/// Runs `f(index, &mut out[index])` for every element of a
+/// caller-owned buffer, in parallel — [`parallel_map`] for hot loops
+/// that reuse one output allocation across calls.
+///
+/// Each element is written by exactly one call, so the buffer's
+/// final contents are identical to a serial run for any thread count.
+pub fn parallel_for_each_mut<R, F>(out: &mut [R], par: &Parallelism, f: F)
+where
+    R: Send,
+    F: Fn(usize, &mut R) + Sync,
+{
+    let _region = budget::RegionGuard::enter();
+    let threads = par.effective_threads().min(out.len().max(1));
+    if threads <= 1 {
+        for (ix, r) in out.iter_mut().enumerate() {
+            f(ix, r);
+        }
+        return;
+    }
+    let grab = par.chunk_size.max(1);
+    run_chunks(
+        threads,
+        (0usize, out),
+        |(next, rest)| {
+            if rest.is_empty() {
+                return None;
+            }
+            let len = grab.min(rest.len());
+            let (head, tail) = std::mem::take(rest).split_at_mut(len);
+            *rest = tail;
+            let start = *next;
+            *next += head.len();
+            Some((start, head))
+        },
+        || (),
+        |(), start, chunk| {
+            for (off, r) in chunk.iter_mut().enumerate() {
+                f(start + off, r);
+            }
+        },
+    );
+}
+
+/// Runs `f(scratch, segment, &mut slots[offsets[segment]..offsets[segment + 1]],
+/// &mut out[segment])` for every segment of a CSR layout, in
+/// parallel, with a per-worker scratch value built by `init`.
+///
+/// `offsets` has one more entry than `out` and starts at 0; its last
+/// entry is `slots.len()`. Segments are handed out in chunks of
+/// `chunk_size` consecutive segments, so every slot and every `out`
+/// element is written by exactly one call and the buffers end up
+/// identical to a serial run for any thread count.
+///
+/// # Panics
+///
+/// Panics if `offsets` does not describe `slots` and `out` as above.
+pub fn parallel_segments_with<S, R, W, I, F>(
+    offsets: &[u32],
+    slots: &mut [S],
+    out: &mut [R],
+    par: &Parallelism,
+    init: I,
+    f: F,
+) where
+    S: Send,
+    R: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &mut [S], &mut R) + Sync,
+{
+    assert_eq!(
+        offsets.len(),
+        out.len() + 1,
+        "one offset per segment, plus one"
+    );
+    assert_eq!(offsets[0], 0, "segments start at slot 0");
+    assert_eq!(
+        offsets[out.len()] as usize,
+        slots.len(),
+        "last offset ends the slots"
+    );
+    // runs the segments of one chunk, `first` being the segment that
+    // `slots[0]` and `out[0]` belong to
+    let run = |scratch: &mut W, first: usize, slots: &mut [S], out: &mut [R]| {
+        let mut rest = slots;
+        for (off, r) in out.iter_mut().enumerate() {
+            let seg = first + off;
+            let len = (offsets[seg + 1] - offsets[seg]) as usize;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            f(scratch, seg, mine, r);
+        }
+    };
+    let _region = budget::RegionGuard::enter();
+    let threads = par.effective_threads().min(out.len().max(1));
+    if threads <= 1 {
+        run(&mut init(), 0, slots, out);
+        return;
+    }
+    let grab = par.chunk_size.max(1);
+    run_chunks(
+        threads,
+        (0usize, slots, out),
+        |(next, slots, out)| {
+            if out.is_empty() {
+                return None;
+            }
+            let start = *next;
+            let segs = grab.min(out.len());
+            let len = (offsets[start + segs] - offsets[start]) as usize;
+            let (slot_head, slot_tail) = std::mem::take(slots).split_at_mut(len);
+            let (out_head, out_tail) = std::mem::take(out).split_at_mut(segs);
+            *slots = slot_tail;
+            *out = out_tail;
+            *next += segs;
+            Some((start, (slot_head, out_head)))
+        },
+        init,
+        |scratch, start, (slots, out)| run(scratch, start, slots, out),
+    );
+}
+
+/// The worker pool behind the buffer-writing primitives: `threads`
+/// scoped workers repeatedly take the next `(start index, chunk)` from
+/// `queue` via `take` (under a lock) and process it with `work`. Each
+/// chunk runs in an obs branch keyed by its start index, like
+/// [`parallel_map_with`]'s chunks.
+fn run_chunks<Q, C, W, T, I, F>(threads: usize, queue: Q, take: T, init: I, work: F)
+where
+    Q: Send,
+    C: Send,
+    T: Fn(&mut Q) -> Option<(usize, C)> + Sync,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, C) + Sync,
+{
+    let queue = Mutex::new(queue);
+    let fork = macro3d_obs::fork();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut scratch = init();
+                loop {
+                    let next = take(
+                        &mut queue
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner),
+                    );
+                    let Some((start, chunk)) = next else { break };
+                    let _branch = fork.branch(start as u64);
+                    work(&mut scratch, start, chunk);
+                }
+            });
+        }
+    });
+    fork.join();
+}
+
 /// Folds `map` over all items and reduces the per-worker partials
 /// with `reduce`. `reduce` must be associative and commutative (the
 /// partial order is unspecified); use [`parallel_map`] when exact
@@ -426,6 +584,58 @@ mod tests {
             },
         );
         assert_eq!(out, (1..258).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_mut_fills_like_serial_across_thread_counts() {
+        let run = |threads: usize| {
+            let mut out = vec![0u64; 1000];
+            let par = Parallelism::threads(threads).with_chunk_size(7);
+            parallel_for_each_mut(&mut out, &par, |ix, r| *r = ix as u64 * 3 + 1);
+            out
+        };
+        let serial = run(1);
+        assert_eq!(serial[10], 31);
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn segments_see_exactly_their_slots_across_thread_counts() {
+        // ragged segments, empty ones included
+        let lens = [3u32, 0, 1, 5, 0, 0, 2, 7, 1, 4, 0, 3];
+        let mut offsets = vec![0u32];
+        for len in lens {
+            offsets.push(offsets.last().unwrap() + len);
+        }
+        let run = |threads: usize| {
+            let mut slots = vec![(0usize, 0usize); *offsets.last().unwrap() as usize];
+            let mut out = vec![0usize; lens.len()];
+            let par = Parallelism::threads(threads).with_chunk_size(2);
+            parallel_segments_with(
+                &offsets,
+                &mut slots,
+                &mut out,
+                &par,
+                || 0usize,
+                |seen, seg, mine, r| {
+                    *seen += 1;
+                    assert_eq!(mine.len(), lens[seg] as usize);
+                    for (j, s) in mine.iter_mut().enumerate() {
+                        *s = (seg, j);
+                    }
+                    *r = seg * 10 + mine.len();
+                },
+            );
+            (slots, out)
+        };
+        let serial = run(1);
+        assert_eq!(serial.1[3], 35);
+        assert_eq!(serial.0[4], (3, 0));
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), serial, "threads={threads}");
+        }
     }
 
     #[test]

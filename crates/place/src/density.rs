@@ -14,7 +14,7 @@ use crate::floorplan::Floorplan;
 use crate::placement::Placement;
 use macro3d_geom::{BinGrid, Dbu, Rect, RectIndex};
 use macro3d_netlist::{Design, InstId};
-use macro3d_par::{parallel_map, Parallelism};
+use macro3d_par::{parallel_for_each_mut, Parallelism};
 
 /// Per-bin standard-cell utilization (cell area / usable bin area).
 ///
@@ -195,32 +195,69 @@ impl ElectroGrid {
         self.target
     }
 
-    /// Deposits movable cell area into the bins. `pos` interleaves
+    /// Buffers for [`Self::accumulate`], [`Self::potential`] and
+    /// [`Self::field`] over `n_cells` movable cells: allocate once per
+    /// placement, reuse every iteration.
+    pub fn scratch(&self, n_cells: usize) -> ElectroScratch {
+        let bins = self.nx * self.ny;
+        let mut levels = Vec::new();
+        let (mut nx, mut ny, mut hx, mut hy) = (self.nx, self.ny, self.hx, self.hy);
+        loop {
+            levels.push(MgLevel {
+                nx,
+                ny,
+                hx,
+                hy,
+                psi: vec![0.0; nx * ny],
+                rhs: vec![0.0; nx * ny],
+                tmp: vec![0.0; nx * ny],
+            });
+            if nx <= 4 || ny <= 4 {
+                break;
+            }
+            (nx, ny, hx, hy) = (nx / 2, ny / 2, hx * 2.0, hy * 2.0);
+        }
+        ElectroScratch {
+            partials: vec![vec![0.0; bins]; n_cells.div_ceil(DENSITY_CHUNK)],
+            bins: vec![0.0; bins],
+            levels,
+            ex: vec![0.0; bins],
+            ey: vec![0.0; bins],
+        }
+    }
+
+    /// Deposits movable cell area into `s.bins`. `pos` interleaves
     /// cell centres as `[x0, y0, x1, y1, …]` µm; `w`/`h` are the cell
     /// footprints, µm. Chunk decomposition and merge order are fixed
     /// (2048-cell chunks, partial bin arrays merged serially in
     /// chunk order), so the result is bit-identical for any thread
     /// count.
-    pub fn accumulate(&self, w: &[f64], h: &[f64], pos: &[f64], par: &Parallelism) -> Vec<f64> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` was built for fewer cells than `w.len()`.
+    pub fn accumulate(
+        &self,
+        w: &[f64],
+        h: &[f64],
+        pos: &[f64],
+        par: &Parallelism,
+        s: &mut ElectroScratch,
+    ) {
         let n = w.len();
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(DENSITY_CHUNK)
-            .map(|s| (s, (s + DENSITY_CHUNK).min(n)))
-            .collect();
-        let partials = parallel_map(&chunks, par, |_, &(start, end)| {
-            let mut bins = vec![0.0f64; self.nx * self.ny];
-            for k in start..end {
-                self.deposit(&mut bins, pos[2 * k], pos[2 * k + 1], w[k], h[k]);
+        let partials = &mut s.partials[..n.div_ceil(DENSITY_CHUNK)];
+        parallel_for_each_mut(partials, par, |c, bins| {
+            bins.fill(0.0);
+            for k in c * DENSITY_CHUNK..((c + 1) * DENSITY_CHUNK).min(n) {
+                self.deposit(bins, pos[2 * k], pos[2 * k + 1], w[k], h[k]);
             }
-            bins
         });
-        let mut bins = vec![0.0f64; self.nx * self.ny];
-        for part in partials {
-            for (b, p) in bins.iter_mut().zip(part) {
+        s.bins.fill(0.0);
+        for part in partials.iter() {
+            for (b, p) in s.bins.iter_mut().zip(part) {
                 *b += p;
             }
         }
-        bins
     }
 
     /// Splats one cell's exact rectangle overlap over the bins it
@@ -229,14 +266,20 @@ impl ElectroGrid {
     fn deposit(&self, bins: &mut [f64], cx: f64, cy: f64, w: f64, h: f64) {
         let (x0, x1) = (cx - w / 2.0 - self.lo_x, cx + w / 2.0 - self.lo_x);
         let (y0, y1) = (cy - h / 2.0 - self.lo_y, cy + h / 2.0 - self.lo_y);
-        let i0 = ((x0 / self.hx).floor().max(0.0) as usize).min(self.nx - 1);
-        let i1 = ((x1 / self.hx).floor().max(0.0) as usize).min(self.nx - 1);
-        let j0 = ((y0 / self.hy).floor().max(0.0) as usize).min(self.ny - 1);
-        let j1 = ((y1 / self.hy).floor().max(0.0) as usize).min(self.ny - 1);
+        // `as usize` truncates toward zero and saturates negatives (and
+        // NaN) to 0, which for a bin index is exactly
+        // `floor().max(0.0) as usize` — without `floor`'s libm call
+        let i0 = ((x0 / self.hx) as usize).min(self.nx - 1);
+        let i1 = ((x1 / self.hx) as usize).min(self.nx - 1);
+        let j0 = ((y0 / self.hy) as usize).min(self.ny - 1);
+        let j1 = ((y1 / self.hy) as usize).min(self.ny - 1);
+        // bin edges via u32, which converts to f64 in one instruction
+        // (usize needs a multi-step sequence); the values are the same
+        let edge = |k: usize, h: f64| f64::from(k as u32) * h;
         for j in j0..=j1 {
-            let oy = (y1.min((j + 1) as f64 * self.hy) - y0.max(j as f64 * self.hy)).max(0.0);
+            let oy = (y1.min(edge(j + 1, self.hy)) - y0.max(edge(j, self.hy))).max(0.0);
             for i in i0..=i1 {
-                let ox = (x1.min((i + 1) as f64 * self.hx) - x0.max(i as f64 * self.hx)).max(0.0);
+                let ox = (x1.min(edge(i + 1, self.hx)) - x0.max(edge(i, self.hx))).max(0.0);
                 bins[j * self.nx + i] += ox * oy;
             }
         }
@@ -258,36 +301,36 @@ impl ElectroGrid {
     }
 
     /// Solves `∇²ψ = −ρ'` for the potential, where `ρ` is the total
-    /// (movable + fixed) density and `ρ'` its mean-subtracted version
-    /// (the Neumann compatibility condition). Returns `ψ` per bin.
-    pub fn potential(&self, movable: &[f64]) -> Vec<f64> {
+    /// (movable + fixed) density of `s.bins` and `ρ'` its
+    /// mean-subtracted version (the Neumann compatibility condition).
+    /// Leaves `ψ` per bin in the scratch for [`Self::field`].
+    pub fn potential(&self, s: &mut ElectroScratch) {
         let bin_area = self.hx * self.hy;
-        let mut rhs: Vec<f64> = movable
-            .iter()
-            .zip(&self.fixed)
-            .map(|(&m, &f)| (m + f) / bin_area)
-            .collect();
-        let mean = rhs.iter().sum::<f64>() / rhs.len() as f64;
-        for r in &mut rhs {
+        let top = &mut s.levels[0];
+        for ((r, &m), &f) in top.rhs.iter_mut().zip(&s.bins).zip(&self.fixed) {
+            *r = (m + f) / bin_area;
+        }
+        let mean = top.rhs.iter().sum::<f64>() / top.rhs.len() as f64;
+        for r in &mut top.rhs {
             *r -= mean;
         }
-        let mut psi = vec![0.0f64; rhs.len()];
+        top.psi.fill(0.0);
         for _ in 0..2 {
-            vcycle(&mut psi, &rhs, self.nx, self.ny, self.hx, self.hy);
+            vcycle(&mut s.levels);
         }
+        let psi = &mut s.levels[0].psi;
         let mean = psi.iter().sum::<f64>() / psi.len() as f64;
-        for p in &mut psi {
+        for p in psi {
             *p -= mean;
         }
-        psi
     }
 
-    /// Electric field `E = −∇ψ` per bin (central differences inside,
-    /// one-sided at the boundary).
-    pub fn field(&self, psi: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    /// Electric field `E = −∇ψ` per bin from the potential left by
+    /// [`Self::potential`], into `s.ex`/`s.ey` (central differences
+    /// inside, one-sided at the boundary).
+    pub fn field(&self, s: &mut ElectroScratch) {
         let (nx, ny) = (self.nx, self.ny);
-        let mut ex = vec![0.0f64; nx * ny];
-        let mut ey = vec![0.0f64; nx * ny];
+        let psi = &s.levels[0].psi;
         for j in 0..ny {
             for i in 0..nx {
                 let at = j * nx + i;
@@ -296,118 +339,169 @@ impl ElectroGrid {
                     _ if i == nx - 1 => (at - 1, at, self.hx),
                     _ => (at - 1, at + 1, 2.0 * self.hx),
                 };
-                ex[at] = -(psi[e] - psi[w]) / dx;
-                let (s, n, dy) = match j {
+                s.ex[at] = -(psi[e] - psi[w]) / dx;
+                let (sj, n, dy) = match j {
                     0 => (at, at + nx, self.hy),
                     _ if j == ny - 1 => (at - nx, at, self.hy),
                     _ => (at - nx, at + nx, 2.0 * self.hy),
                 };
-                ey[at] = -(psi[n] - psi[s]) / dy;
+                s.ey[at] = -(psi[n] - psi[sj]) / dy;
             }
         }
-        (ex, ey)
     }
 
-    /// Bilinear interpolation of a bin-centred scalar map at a point.
-    pub fn sample(&self, map: &[f64], x: f64, y: f64) -> f64 {
-        let gx = ((x - self.lo_x) / self.hx - 0.5).clamp(0.0, (self.nx - 1) as f64);
+    /// Bilinear interpolation of bin-centred scalar maps at a point:
+    /// the stencil (corner bins and fractions) is located once, and
+    /// the returned closure samples any map at it.
+    pub fn interpolator(&self, x: f64, y: f64) -> impl Fn(&[f64]) -> f64 {
+        let nx = self.nx;
+        let gx = ((x - self.lo_x) / self.hx - 0.5).clamp(0.0, (nx - 1) as f64);
         let gy = ((y - self.lo_y) / self.hy - 0.5).clamp(0.0, (self.ny - 1) as f64);
-        let i0 = (gx as usize).min(self.nx.saturating_sub(2));
+        let i0 = (gx as usize).min(nx.saturating_sub(2));
         let j0 = (gy as usize).min(self.ny.saturating_sub(2));
-        let i1 = (i0 + 1).min(self.nx - 1);
+        let i1 = (i0 + 1).min(nx - 1);
         let j1 = (j0 + 1).min(self.ny - 1);
         let (fx, fy) = (gx - i0 as f64, gy - j0 as f64);
-        let v00 = map[j0 * self.nx + i0];
-        let v10 = map[j0 * self.nx + i1];
-        let v01 = map[j1 * self.nx + i0];
-        let v11 = map[j1 * self.nx + i1];
-        v00 * (1.0 - fx) * (1.0 - fy)
-            + v10 * fx * (1.0 - fy)
-            + v01 * (1.0 - fx) * fy
-            + v11 * fx * fy
+        move |map| {
+            let v00 = map[j0 * nx + i0];
+            let v10 = map[j0 * nx + i1];
+            let v01 = map[j1 * nx + i0];
+            let v11 = map[j1 * nx + i1];
+            v00 * (1.0 - fx) * (1.0 - fy)
+                + v10 * fx * (1.0 - fy)
+                + v01 * (1.0 - fx) * fy
+                + v11 * fx * fy
+        }
     }
 }
 
-/// One multigrid V-cycle for `∇²ψ = −rhs`… expressed as the residual
-/// equation `A ψ = rhs` with `A = −∇²` (SPD up to the Neumann null
-/// space, which the mean subtraction removes).
-fn vcycle(psi: &mut [f64], rhs: &[f64], nx: usize, ny: usize, hx: f64, hy: f64) {
-    if nx <= 4 || ny <= 4 {
-        smooth(psi, rhs, nx, ny, hx, hy, 64);
+/// Reusable buffers of the density pipeline, built by
+/// [`ElectroGrid::scratch`]: per-chunk partial bin arrays, the merged
+/// bins, the multigrid hierarchy and the field components.
+#[derive(Clone, Debug)]
+pub struct ElectroScratch {
+    partials: Vec<Vec<f64>>,
+    /// Movable area per bin, µm² (written by [`ElectroGrid::accumulate`]).
+    pub bins: Vec<f64>,
+    /// Finest level first; the last level is solved by smoothing alone.
+    levels: Vec<MgLevel>,
+    /// Field `x` component per bin (written by [`ElectroGrid::field`]).
+    pub ex: Vec<f64>,
+    /// Field `y` component per bin (written by [`ElectroGrid::field`]).
+    pub ey: Vec<f64>,
+}
+
+/// One multigrid level: its grid, iterate, right-hand side and a
+/// scratch array (Jacobi's next iterate, then the residual).
+#[derive(Clone, Debug)]
+struct MgLevel {
+    nx: usize,
+    ny: usize,
+    hx: f64,
+    hy: f64,
+    psi: Vec<f64>,
+    rhs: Vec<f64>,
+    tmp: Vec<f64>,
+}
+
+/// One multigrid V-cycle for `∇²ψ = −rhs` on `levels[0]`… expressed
+/// as the residual equation `A ψ = rhs` with `A = −∇²` (SPD up to the
+/// Neumann null space, which the mean subtraction removes).
+fn vcycle(levels: &mut [MgLevel]) {
+    let Some((level, coarser)) = levels.split_first_mut() else {
+        return;
+    };
+    if coarser.is_empty() {
+        level.smooth(64);
         return;
     }
-    smooth(psi, rhs, nx, ny, hx, hy, 4);
-    let res = residual(psi, rhs, nx, ny, hx, hy);
-    let coarse_rhs = restrict(&res, nx, ny);
-    let mut coarse = vec![0.0f64; coarse_rhs.len()];
-    vcycle(&mut coarse, &coarse_rhs, nx / 2, ny / 2, hx * 2.0, hy * 2.0);
-    prolong_add(psi, &coarse, nx, ny);
-    smooth(psi, rhs, nx, ny, hx, hy, 4);
+    level.smooth(4);
+    level.residual();
+    restrict(&level.tmp, level.nx, level.ny, &mut coarser[0].rhs);
+    coarser[0].psi.fill(0.0);
+    vcycle(coarser);
+    prolong_add(&mut level.psi, &coarser[0].psi, level.nx);
+    level.smooth(4);
 }
 
-/// Mirrored-ghost (Neumann) neighbour lookup.
+/// Writes `out[k] = f(nb, psi[k], rhs[k])` for every bin `k` of an
+/// `nx × ny` grid, where `nb = cx·(W + E) + cy·(S + N)` sums the
+/// bin's neighbours in `psi` with mirrored (Neumann) ghosts at the
+/// boundary.
 #[inline]
-fn at(v: &[f64], nx: usize, ny: usize, i: isize, j: isize) -> f64 {
-    let i = i.clamp(0, nx as isize - 1) as usize;
-    let j = j.clamp(0, ny as isize - 1) as usize;
-    v[j * nx + i]
-}
-
-/// `sweeps` damped-Jacobi iterations. Jacobi reads only the previous
-/// iterate, so the result is independent of traversal order — the
-/// property that makes the whole solve deterministic.
-fn smooth(psi: &mut [f64], rhs: &[f64], nx: usize, ny: usize, hx: f64, hy: f64, sweeps: usize) {
-    let (cx, cy) = (1.0 / (hx * hx), 1.0 / (hy * hy));
-    let diag = 2.0 * (cx + cy);
-    let mut next = vec![0.0f64; psi.len()];
-    for _ in 0..sweeps {
-        for j in 0..ny as isize {
-            for i in 0..nx as isize {
-                let k = j as usize * nx + i as usize;
-                let nb = cx * (at(psi, nx, ny, i - 1, j) + at(psi, nx, ny, i + 1, j))
-                    + cy * (at(psi, nx, ny, i, j - 1) + at(psi, nx, ny, i, j + 1));
-                let jacobi = (nb + rhs[k]) / diag;
-                next[k] = psi[k] + JACOBI_OMEGA * (jacobi - psi[k]);
-            }
+fn stencil(
+    (psi, rhs, out): (&[f64], &[f64], &mut [f64]),
+    (nx, ny): (usize, usize),
+    (cx, cy): (f64, f64),
+    f: impl Fn(f64, f64, f64) -> f64,
+) {
+    for j in 0..ny {
+        let row = j * nx;
+        let (s, n) = (j.saturating_sub(1) * nx, (j + 1).min(ny - 1) * nx);
+        let here = &psi[row..row + nx];
+        let (south, north) = (&psi[s..s + nx], &psi[n..n + nx]);
+        let rhs = &rhs[row..row + nx];
+        let out = &mut out[row..row + nx];
+        for i in 0..nx {
+            let (w, e) = (i.saturating_sub(1), (i + 1).min(nx - 1));
+            let nb = cx * (here[w] + here[e]) + cy * (south[i] + north[i]);
+            out[i] = f(nb, here[i], rhs[i]);
         }
-        psi.copy_from_slice(&next);
     }
 }
 
-/// Residual `rhs − A ψ` with `A = −∇²` under mirrored boundaries.
-fn residual(psi: &[f64], rhs: &[f64], nx: usize, ny: usize, hx: f64, hy: f64) -> Vec<f64> {
-    let (cx, cy) = (1.0 / (hx * hx), 1.0 / (hy * hy));
-    let diag = 2.0 * (cx + cy);
-    let mut res = vec![0.0f64; psi.len()];
-    for j in 0..ny as isize {
-        for i in 0..nx as isize {
-            let k = j as usize * nx + i as usize;
-            let nb = cx * (at(psi, nx, ny, i - 1, j) + at(psi, nx, ny, i + 1, j))
-                + cy * (at(psi, nx, ny, i, j - 1) + at(psi, nx, ny, i, j + 1));
-            res[k] = rhs[k] - (diag * psi[k] - nb);
+impl MgLevel {
+    fn coefficients(&self) -> (f64, f64) {
+        (1.0 / (self.hx * self.hx), 1.0 / (self.hy * self.hy))
+    }
+
+    /// `sweeps` damped-Jacobi iterations. Jacobi reads only the
+    /// previous iterate, so the result is independent of traversal
+    /// order — the property that makes the whole solve deterministic.
+    fn smooth(&mut self, sweeps: usize) {
+        let (cx, cy) = self.coefficients();
+        let diag = 2.0 * (cx + cy);
+        for _ in 0..sweeps {
+            stencil(
+                (&self.psi, &self.rhs, &mut self.tmp),
+                (self.nx, self.ny),
+                (cx, cy),
+                |nb, psi, rhs| psi + JACOBI_OMEGA * ((nb + rhs) / diag - psi),
+            );
+            self.psi.copy_from_slice(&self.tmp);
         }
     }
-    res
+
+    /// Residual `rhs − A ψ` with `A = −∇²` under mirrored boundaries,
+    /// into `tmp`.
+    fn residual(&mut self) {
+        let (cx, cy) = self.coefficients();
+        let diag = 2.0 * (cx + cy);
+        stencil(
+            (&self.psi, &self.rhs, &mut self.tmp),
+            (self.nx, self.ny),
+            (cx, cy),
+            |nb, psi, rhs| rhs - (diag * psi - nb),
+        );
+    }
 }
 
 /// Full-weighting restriction: each coarse bin averages its 2×2 fine
 /// children (dims are powers of two, so the split is exact).
-fn restrict(fine: &[f64], nx: usize, ny: usize) -> Vec<f64> {
+fn restrict(fine: &[f64], nx: usize, ny: usize, coarse: &mut [f64]) {
     let (cnx, cny) = (nx / 2, ny / 2);
-    let mut coarse = vec![0.0f64; cnx * cny];
     for j in 0..cny {
         for i in 0..cnx {
             let f = |di: usize, dj: usize| fine[(2 * j + dj) * nx + 2 * i + di];
             coarse[j * cnx + i] = 0.25 * (f(0, 0) + f(1, 0) + f(0, 1) + f(1, 1));
         }
     }
-    coarse
 }
 
 /// Piecewise-constant prolongation (injection): each coarse value is
 /// added to its 2×2 fine children; the post-smooth irons out the
 /// blockiness.
-fn prolong_add(fine: &mut [f64], coarse: &[f64], nx: usize, _ny: usize) {
+fn prolong_add(fine: &mut [f64], coarse: &[f64], nx: usize) {
     let cnx = nx / 2;
     for (k, &c) in coarse.iter().enumerate() {
         let (i, j) = (k % cnx, k / cnx);
@@ -461,23 +555,24 @@ mod tests {
             pos.push(8.0 + (k / 10) as f64 * 0.01);
         }
         let grid = ElectroGrid::build(&fp, n, n as f64);
-        let bins = grid.accumulate(&w, &h, &pos, &Parallelism::serial());
-        assert!((bins.iter().sum::<f64>() - n as f64).abs() < 1e-6);
-        assert!(grid.overflow(&bins) > 0.5, "pile should overflow");
-        let psi = grid.potential(&bins);
-        let (ex, ey) = grid.field(&psi);
+        let mut s = grid.scratch(n);
+        grid.accumulate(&w, &h, &pos, &Parallelism::serial(), &mut s);
+        assert!((s.bins.iter().sum::<f64>() - n as f64).abs() < 1e-6);
+        assert!(grid.overflow(&s.bins) > 0.5, "pile should overflow");
+        grid.potential(&mut s);
+        grid.field(&mut s);
         // the field at a point right of the pile points further right
         // (away from the charge), and up above it points further up
-        assert!(grid.sample(&ex, 30.0, 8.0) > 0.0);
-        assert!(grid.sample(&ey, 8.0, 30.0) > 0.0);
+        assert!(grid.interpolator(30.0, 8.0)(&s.ex) > 0.0);
+        assert!(grid.interpolator(8.0, 30.0)(&s.ey) > 0.0);
         // uniform spread at target density ⇒ (near) zero overflow
         let mut spread = Vec::with_capacity(2 * n);
         for k in 0..n {
             spread.push(64.0 * ((k % 32) as f64 + 0.5) / 32.0);
             spread.push(64.0 * ((k / 32) as f64 + 0.5) / 32.0);
         }
-        let bins = grid.accumulate(&w, &h, &spread, &Parallelism::serial());
-        assert!(grid.overflow(&bins) < 0.05);
+        grid.accumulate(&w, &h, &spread, &Parallelism::serial(), &mut s);
+        assert!(grid.overflow(&s.bins) < 0.05);
     }
 
     #[test]
@@ -498,14 +593,16 @@ mod tests {
             .map(|k| next() * if k % 2 == 0 { 100.0 } else { 50.0 })
             .collect();
         let grid = ElectroGrid::build(&fp, n, 0.84 * n as f64);
-        let serial = grid.accumulate(&w, &h, &pos, &Parallelism::serial());
+        let mut s = grid.scratch(n);
+        grid.accumulate(&w, &h, &pos, &Parallelism::serial(), &mut s);
+        let serial = s.bins.clone();
         for threads in [2, 8] {
             let par = Parallelism::threads(threads);
-            let got = grid.accumulate(&w, &h, &pos, &par);
+            grid.accumulate(&w, &h, &pos, &par, &mut s);
             assert!(
                 serial
                     .iter()
-                    .zip(&got)
+                    .zip(&s.bins)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "threads={threads}: density bins differ bitwise"
             );
@@ -523,7 +620,8 @@ mod tests {
         );
         let grid = ElectroGrid::build(&fp, 4096, 100.0);
         let (nx, ny) = grid.dims();
-        let mut rhs = vec![0.0f64; nx * ny];
+        let mut s = grid.scratch(4096);
+        let rhs = &mut s.levels[0].rhs;
         for j in 0..ny {
             for i in 0..nx {
                 let fx = (i as f64 + 0.5) / nx as f64;
@@ -533,20 +631,20 @@ mod tests {
             }
         }
         let mean = rhs.iter().sum::<f64>() / rhs.len() as f64;
-        for r in &mut rhs {
+        for r in rhs.iter_mut() {
             *r -= mean;
         }
-        let mut psi = vec![0.0f64; rhs.len()];
         for _ in 0..4 {
-            vcycle(&mut psi, &rhs, nx, ny, grid.bin_w_um(), grid.bin_h_um());
+            vcycle(&mut s.levels);
         }
-        let res = residual(&psi, &rhs, nx, ny, grid.bin_w_um(), grid.bin_h_um());
+        let top = &mut s.levels[0];
+        top.residual();
         let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(
-            norm(&res) < 0.05 * norm(&rhs),
+            norm(&top.tmp) < 0.05 * norm(&top.rhs),
             "residual {} vs rhs {}",
-            norm(&res),
-            norm(&rhs)
+            norm(&top.tmp),
+            norm(&top.rhs)
         );
     }
 

@@ -3,7 +3,7 @@
 use crate::placement::Placement;
 use crate::ports::PortPlan;
 use macro3d_geom::{Dbu, Point, Rect};
-use macro3d_netlist::{Design, Master, NetId, PinRef};
+use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 
 /// Physical location of a pin.
 ///
@@ -81,21 +81,41 @@ pub fn total_hpwl(design: &Design, placement: &Placement, ports: &PortPlan) -> D
 /// of fresh per-net recomputes bit for bit — optimizers (annealing,
 /// detailed placement) can mix incremental and full evaluation freely.
 ///
+/// A cache built with [`HpwlCache::with_movers`] knows which
+/// instances may move. Each tracked net then keeps the bounding box
+/// of its other ("frozen") pins, and `update_nets` walks only the
+/// mover pins: a macro annealer moving a few macros on a
+/// thousands-of-pins clock net re-reads only the macros' own pins.
+///
 /// Rejected moves are rolled back with the [`HpwlUndo`] record
 /// returned by `update_nets` (restore the placement, then
 /// [`HpwlCache::undo`]).
 #[derive(Clone, Debug)]
 pub struct HpwlCache {
-    /// Cached HPWL per net; `None` for untracked nets.
-    cached: Vec<Option<Dbu>>,
+    /// Index into `tracked` per net; `u32::MAX` for untracked nets.
+    slot: Vec<u32>,
+    tracked: Vec<TrackedNet>,
+    /// Live pins of every tracked net, a range per net.
+    live_pins: Vec<PinRef>,
     total: Dbu,
+}
+
+/// One tracked net: its cached span, the bounding box of its frozen
+/// pins (`None` if every pin is live) and its live pins'
+/// `live_pins[start..end]` range.
+#[derive(Clone, Copy, Debug)]
+struct TrackedNet {
+    span: Dbu,
+    frozen: Option<Rect>,
+    start: u32,
+    end: u32,
 }
 
 /// Inverse of one [`HpwlCache::update_nets`] call.
 #[derive(Clone, Debug)]
 pub struct HpwlUndo {
-    /// `(net, previous span)` in update order.
-    entries: Vec<(NetId, Dbu)>,
+    /// `(tracked index, previous span)` in update order.
+    entries: Vec<(u32, Dbu)>,
 }
 
 impl HpwlCache {
@@ -117,22 +137,80 @@ impl HpwlCache {
         ports: &PortPlan,
         nets: impl IntoIterator<Item = NetId>,
     ) -> Self {
+        Self::with_movers(design, placement, ports, nets, &[])
+    }
+
+    /// Like [`Self::over_nets`], where only the instances in `movers`
+    /// may move afterwards. Every other pin — other instances' pins
+    /// and ports — must keep the position it has in `placement` now:
+    /// each net caches their bounding box once, and
+    /// [`Self::update_nets`] re-reads only the mover pins. An empty
+    /// `movers` means every pin may move.
+    pub fn with_movers(
+        design: &Design,
+        placement: &Placement,
+        ports: &PortPlan,
+        nets: impl IntoIterator<Item = NetId>,
+        movers: &[InstId],
+    ) -> Self {
+        let mut is_mover = vec![movers.is_empty(); design.num_insts()];
+        for &m in movers {
+            is_mover[m.index()] = true;
+        }
         let mut cache = HpwlCache {
-            cached: vec![None; design.num_nets()],
+            slot: vec![u32::MAX; design.num_nets()],
+            tracked: Vec::new(),
+            live_pins: Vec::new(),
             total: Dbu(0),
         };
-        let mut inits = 0u64;
         for n in nets {
-            if design.net(n).pins.len() < 2 || cache.cached[n.index()].is_some() {
+            let pins = &design.net(n).pins;
+            if pins.len() < 2 || cache.slot[n.index()] != u32::MAX {
                 continue;
             }
-            let w = net_hpwl(design, placement, ports, n);
-            cache.cached[n.index()] = Some(w);
-            cache.total += w;
-            inits += 1;
+            let start = cache.live_pins.len() as u32;
+            let mut frozen = None;
+            for &p in pins {
+                let live = match p {
+                    PinRef::Inst { inst, .. } => is_mover[inst.index()],
+                    PinRef::Port(_) => movers.is_empty(),
+                };
+                if live {
+                    cache.live_pins.push(p);
+                } else {
+                    frozen = Some(extend(frozen, pin_position(design, placement, ports, p)));
+                }
+            }
+            let mut net = TrackedNet {
+                span: Dbu(0),
+                frozen,
+                start,
+                end: cache.live_pins.len() as u32,
+            };
+            net.span = cache.span(design, placement, ports, &net);
+            cache.slot[n.index()] = cache.tracked.len() as u32;
+            cache.tracked.push(net);
+            cache.total += net.span;
         }
-        HPWL_CACHE_INITS.add(inits);
+        HPWL_CACHE_INITS.add(cache.tracked.len() as u64);
         cache
+    }
+
+    /// Half-perimeter of the frozen bounding box grown by the live
+    /// pins' current positions — [`net_hpwl`] of the net, bit for bit.
+    fn span(
+        &self,
+        design: &Design,
+        placement: &Placement,
+        ports: &PortPlan,
+        net: &TrackedNet,
+    ) -> Dbu {
+        let live = &self.live_pins[net.start as usize..net.end as usize];
+        live.iter()
+            .fold(net.frozen, |bbox, &p| {
+                Some(extend(bbox, pin_position(design, placement, ports, p)))
+            })
+            .map_or(Dbu(0), |b| b.size().half_perimeter())
     }
 
     /// The running total over all tracked nets.
@@ -144,7 +222,8 @@ impl HpwlCache {
     /// Cached span of one net (`None` if untracked).
     #[inline]
     pub fn net(&self, n: NetId) -> Option<Dbu> {
-        self.cached[n.index()]
+        let slot = self.slot[n.index()];
+        (slot != u32::MAX).then(|| self.tracked[slot as usize].span)
     }
 
     /// Re-evaluates the given nets against the current placement and
@@ -160,15 +239,17 @@ impl HpwlCache {
     ) -> HpwlUndo {
         let mut entries = Vec::with_capacity(nets.len());
         for &n in nets {
-            let Some(old) = self.cached[n.index()] else {
+            let slot = self.slot[n.index()];
+            if slot == u32::MAX {
                 continue;
-            };
-            let new = net_hpwl(design, placement, ports, n);
-            if new != old {
-                self.total += new - old;
-                self.cached[n.index()] = Some(new);
             }
-            entries.push((n, old));
+            let net = self.tracked[slot as usize];
+            let new = self.span(design, placement, ports, &net);
+            if new != net.span {
+                self.total += new - net.span;
+                self.tracked[slot as usize].span = new;
+            }
+            entries.push((slot, net.span));
         }
         HPWL_CACHE_HITS.add(entries.len() as u64);
         HpwlUndo { entries }
@@ -176,15 +257,23 @@ impl HpwlCache {
 
     /// Rolls back one `update_nets` batch (apply to the *matching*
     /// state only, most recent first).
-    // INVARIANT: an `HpwlUndo` only holds nets the cache tracked when
-    // it was produced, and tracked nets are never evicted.
-    #[allow(clippy::expect_used)]
     pub fn undo(&mut self, undo: HpwlUndo) {
-        for (n, old) in undo.entries.into_iter().rev() {
-            let cur = self.cached[n.index()].expect("undo of tracked net");
-            self.total += old - cur;
-            self.cached[n.index()] = Some(old);
+        for (slot, old) in undo.entries.into_iter().rev() {
+            let span = &mut self.tracked[slot as usize].span;
+            self.total += old - *span;
+            *span = old;
         }
+    }
+}
+
+/// `bbox` grown to contain `pt` (a lone point starts a degenerate box).
+fn extend(bbox: Option<Rect>, pt: Point) -> Rect {
+    match bbox {
+        Some(b) => Rect {
+            lo: b.lo.min(pt),
+            hi: b.hi.max(pt),
+        },
+        None => Rect { lo: pt, hi: pt },
     }
 }
 
@@ -303,6 +392,84 @@ mod tests {
         assert_eq!(cache.total(), net_hpwl(&d, &p, &ports, n));
         assert_eq!(cache.net(lone), None);
         assert_eq!(cache.net(n), Some(net_hpwl(&d, &p, &ports, n)));
+    }
+
+    /// A cache over movers, driven through a seeded sequence of mover
+    /// moves with random rejections, always equals a fresh sum of
+    /// `net_hpwl` — with ports, frozen cells and movers mixed on
+    /// every net, and nets whose pins are all movers or all frozen.
+    #[test]
+    fn mover_cache_matches_fresh_sums_through_moves_and_undos() {
+        use rand::{Rng, SeedableRng};
+        let lib = Arc::new(n28_library(1.0));
+        let nand = lib.smallest(CellClass::Nand2).expect("nand2");
+        let mut d = Design::new("t", lib);
+        let ports: Vec<_> = (0..4)
+            .map(|i| d.add_port(format!("p{i}"), PinDir::Input, None))
+            .collect();
+        let cells: Vec<_> = (0..40).map(|i| d.add_cell(format!("c{i}"), nand)).collect();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        // movers are every third cell: one all-mover net, one
+        // all-frozen net, then random nets over the remaining pins
+        let all_movers = d.add_net("all_movers");
+        d.connect(all_movers, PinRef::inst(cells[0], 0));
+        d.connect(all_movers, PinRef::inst(cells[3], 0));
+        let all_frozen = d.add_net("all_frozen");
+        d.connect(all_frozen, PinRef::inst(cells[1], 0));
+        d.connect(all_frozen, PinRef::inst(cells[2], 0));
+        let mut nets = vec![all_movers, all_frozen];
+        let mut free: Vec<PinRef> = cells
+            .iter()
+            .flat_map(|&c| (0..3).map(move |pin| PinRef::inst(c, pin)))
+            .filter(|&pin| match pin {
+                PinRef::Inst { inst, pin } => d.inst(inst).conns[pin as usize].is_none(),
+                PinRef::Port(_) => true,
+            })
+            .chain(ports.iter().map(|&p| PinRef::Port(p)))
+            .collect();
+        while free.len() >= 2 {
+            let n = d.add_net(format!("n{}", nets.len()));
+            for _ in 0..rng.gen_range(2..9usize).min(free.len()) {
+                let pin = free.swap_remove(rng.gen_range(0..free.len()));
+                d.connect(n, pin);
+            }
+            nets.push(n);
+        }
+        let mut p = Placement::new(&d);
+        for &c in &cells {
+            p.pos[c.index()] = Point::from_um(rng.gen_range(0.0..200.0), rng.gen_range(0.0..90.0));
+        }
+        let plan = PortPlan {
+            pos: (0..4)
+                .map(|i| Point::from_um(0.0, 20.0 * f64::from(i)))
+                .collect(),
+        };
+        let movers: Vec<InstId> = cells.iter().copied().step_by(3).collect();
+        let fresh = |p: &Placement| -> Dbu {
+            nets.iter()
+                .filter(|&&n| d.net(n).pins.len() >= 2)
+                .map(|&n| net_hpwl(&d, p, &plan, n))
+                .sum()
+        };
+
+        let mut cache = HpwlCache::with_movers(&d, &p, &plan, nets.iter().copied(), &movers);
+        assert_eq!(cache.total(), fresh(&p));
+        for step in 0..400 {
+            let m = movers[rng.gen_range(0..movers.len())];
+            let before = p.pos[m.index()];
+            p.pos[m.index()] = Point::from_um(rng.gen_range(0.0..200.0), rng.gen_range(0.0..90.0));
+            let touched: Vec<NetId> = d.inst(m).conns.iter().flatten().copied().collect();
+            let undo = cache.update_nets(&d, &p, &plan, &touched);
+            assert_eq!(cache.total(), fresh(&p), "step {step} after update");
+            if rng.gen_bool(0.5) {
+                p.pos[m.index()] = before;
+                cache.undo(undo);
+                assert_eq!(cache.total(), fresh(&p), "step {step} after undo");
+            }
+            for &n in &touched {
+                assert_eq!(cache.net(n), Some(net_hpwl(&d, &p, &plan, n)));
+            }
+        }
     }
 
     #[test]

@@ -91,9 +91,12 @@ fn net_span(design: &Design, net: NetId, pos: &BTreeMap<InstId, Point>, center: 
 /// overlap-free with halo).
 ///
 /// Cost is the macro-net HPWL of [`macro_net_hpwl`], evaluated
-/// through the shared [`HpwlCache`]: each proposal re-evaluates only
-/// the nets incident to the moved macros (delta update, undone on
-/// rejection) instead of recomputing every macro-adjacent net.
+/// through the shared [`HpwlCache`] with the macros as its movers:
+/// each proposal re-evaluates only the nets incident to the moved
+/// macros (delta update, undone on rejection), and each of those
+/// re-reads only macro pins — the other pins of a net (the
+/// thousands of clock sinks, say) sit still and keep a cached
+/// bounding box.
 pub fn refine_macros_sa(
     design: &Design,
     placements: &mut [MacroPlacement],
@@ -104,6 +107,20 @@ pub fn refine_macros_sa(
     if placements.len() < 2 {
         return macro_net_hpwl(design, placements, die);
     }
+    let movers: Vec<InstId> = placements.iter().map(|mp| mp.inst).collect();
+    anneal(design, placements, die, halo, cfg, &movers)
+}
+
+/// The annealing loop of [`refine_macros_sa`], its [`HpwlCache`]
+/// built over `movers` (empty: every pin is re-read on each update).
+fn anneal(
+    design: &Design,
+    placements: &mut [MacroPlacement],
+    die: Rect,
+    halo: Dbu,
+    cfg: &AnnealConfig,
+    movers: &[InstId],
+) -> f64 {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Synthetic flat views of the floorplanning state for the shared
@@ -142,7 +159,7 @@ pub fn refine_macros_sa(
             mine
         })
         .collect();
-    let mut cache = HpwlCache::over_nets(design, &flat, &ports, tracked);
+    let mut cache = HpwlCache::with_movers(design, &flat, &ports, tracked, movers);
 
     let mut cost = cache.total().to_um();
     let t0 = (cost * cfg.t0_frac).max(1.0);
@@ -155,6 +172,7 @@ pub fn refine_macros_sa(
     let mut best_cost = cost;
     let mut best: Vec<MacroPlacement> = placements.to_vec();
     let mut stopped = false;
+    let mut touched: Vec<NetId> = Vec::new();
     for it in 0..cfg.iterations {
         if let macro3d_par::Checkpoint::Stop(reason) =
             macro3d_par::checkpoint("place/anneal_proposals")
@@ -199,18 +217,19 @@ pub fn refine_macros_sa(
         // apply tentatively
         let saved_a = placements[a];
         let saved_b = placements[b];
-        let touched: Vec<NetId> = match proposal {
+        touched.clear();
+        match proposal {
             Move::Swap(i, j) => {
                 let (pi, pj) = (placements[i].rect.lo, placements[j].rect.lo);
                 placements[i].rect = placements[i].rect.moved_to(pj);
                 placements[j].rect = placements[j].rect.moved_to(pi);
-                nets_of[i].iter().chain(&nets_of[j]).copied().collect()
+                touched.extend(nets_of[i].iter().chain(&nets_of[j]));
             }
             Move::Nudge(i, to) => {
                 placements[i].rect = placements[i].rect.moved_to(to);
-                nets_of[i].clone()
+                touched.extend(&nets_of[i]);
             }
-        };
+        }
         flat.pos[placements[a].inst.index()] = placements[a].rect.lo;
         flat.pos[placements[b].inst.index()] = placements[b].rect.lo;
 
@@ -276,6 +295,7 @@ fn legal_with_halo(placements: &[MacroPlacement], die: Rect, halo: Dbu) -> bool 
 mod tests {
     use super::*;
     use crate::macro_place::pack_shelves;
+    use macro3d_netlist::MacroMasterId;
     use macro3d_sram::MemoryCompiler;
     use macro3d_tech::libgen::n28_library;
     use macro3d_tech::stack::DieRole;
@@ -327,6 +347,58 @@ mod tests {
                 assert!(!a.rect.inflate(halo).overlaps(b.rect));
             }
         }
+    }
+
+    /// The mover set only skips re-reading pins that never move: an
+    /// anneal over a clock net with many logic sinks ends with the
+    /// same placements and bit-identical cost as one whose cache
+    /// re-reads every pin.
+    #[test]
+    fn movers_reproduce_the_full_pin_walk() {
+        let (mut d, insts) = banked_design();
+        let clk = d
+            .inst(insts[0])
+            .conns
+            .iter()
+            .flatten()
+            .copied()
+            .next()
+            .expect("clk net");
+        let lib = d.library().clone();
+        let dff = lib.smallest(macro3d_tech::CellClass::Dff).expect("dff");
+        let ck = lib.cell(dff).clock_pin().expect("clock pin") as u16;
+        let data = lib.cell(dff).data_input_pins().next().expect("data pin") as u16;
+        let master = d.macro_master(MacroMasterId(0));
+        let bank_pin = (0..master.pins.len() as u16)
+            .find(|&p| Some(p as usize) != master.clock_pin())
+            .expect("data pin");
+        for i in 0..300 {
+            let ff = d.add_cell(format!("ff{i}"), dff);
+            d.connect(clk, PinRef::inst(ff, ck));
+        }
+        // every bank also drives three flops of its own
+        for (b, &bank) in insts.iter().enumerate() {
+            let q = d.add_net(format!("q{b}"));
+            d.connect(q, PinRef::inst(bank, bank_pin));
+            for i in 0..3 {
+                let ff = d.add_cell(format!("q{b}_ff{i}"), dff);
+                d.connect(q, PinRef::inst(ff, data));
+            }
+        }
+        let die = Rect::from_um(0.0, 0.0, 900.0, 900.0);
+        let halo = Dbu::from_um(2.0);
+        let packed = pack_shelves(&d, &insts, die, halo, DieRole::Macro).expect("fits");
+        let cfg = AnnealConfig {
+            iterations: 600,
+            ..Default::default()
+        };
+        let mut with_movers = packed.clone();
+        let cost = refine_macros_sa(&d, &mut with_movers, die, halo, &cfg);
+        let mut full_walk = packed.clone();
+        let oracle = anneal(&d, &mut full_walk, die, halo, &cfg, &[]);
+        assert_eq!(cost.to_bits(), oracle.to_bits());
+        assert_eq!(with_movers, full_walk);
+        assert_ne!(with_movers, packed, "the anneal moved something");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! radius so a bad estimate cannot explode the placement.
 //!
 //! The position update — the only O(n) work here — runs through
-//! [`parallel_map`] over the cell list; the norms and bookkeeping are
+//! [`parallel_for_each_mut`] over the cell list into a buffer
+//! allocated once with the solver; the norms and bookkeeping are
 //! serial in fixed index order, so the whole solver is bit-identical
 //! for any thread count.
 
-use macro3d_par::{parallel_map, Parallelism};
+use macro3d_par::{parallel_for_each_mut, Parallelism};
 
 /// Nesterov solver state over interleaved `[x0, y0, x1, y1, …]`
 /// coordinate vectors.
@@ -27,8 +28,8 @@ pub struct Nesterov {
     v_prev: Vec<f64>,
     g_prev: Vec<f64>,
     a: f64,
-    /// Cell indices `0..n`, the item list for the update kernel.
-    idx: Vec<u32>,
+    /// Step output per cell, `[ux, uy, vx, vy]` (reused every step).
+    next: Vec<[f64; 4]>,
     have_prev: bool,
 }
 
@@ -42,7 +43,7 @@ impl Nesterov {
             v_prev: init.clone(),
             g_prev: vec![0.0; init.len()],
             a: 1.0,
-            idx: (0..n as u32).collect(),
+            next: vec![[0.0; 4]; n],
             have_prev: false,
         }
     }
@@ -91,16 +92,15 @@ impl Nesterov {
         let a_next = (1.0 + (4.0 * self.a * self.a + 1.0).sqrt()) / 2.0;
         let theta = (self.a - 1.0) / a_next;
         let (u, v) = (&self.u, &self.v);
-        let updated = parallel_map(&self.idx, par, |_, &kk| {
-            let k = kk as usize;
+        parallel_for_each_mut(&mut self.next, par, |k, out| {
             let (xi, yi) = (2 * k, 2 * k + 1);
             let (ux, uy) = clamp(k, v[xi] - alpha * g[xi], v[yi] - alpha * g[yi]);
             let (vx, vy) = clamp(k, ux + theta * (ux - u[xi]), uy + theta * (uy - u[yi]));
-            (ux, uy, vx, vy)
+            *out = [ux, uy, vx, vy];
         });
         self.v_prev.copy_from_slice(&self.v);
         self.g_prev.copy_from_slice(g);
-        for (k, (ux, uy, vx, vy)) in updated.into_iter().enumerate() {
+        for (k, &[ux, uy, vx, vy]) in self.next.iter().enumerate() {
             self.u[2 * k] = ux;
             self.u[2 * k + 1] = uy;
             self.v[2 * k] = vx;

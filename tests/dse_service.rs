@@ -329,3 +329,47 @@ fn bounded_queue_applies_backpressure_without_loss() {
     assert_eq!(results.iter().filter(|r| r.cache_hit).count(), 5);
     service.shutdown();
 }
+
+/// A result-cache hit finishes in microseconds, so a worker can
+/// complete a job before its `submit` call has returned. Each such
+/// job must still reach `wait` as `Done`: a `Queued` recorded after
+/// the job became visible would overwrite the result and hang `wait`
+/// forever, which the watchdog turns into a failure. More tenant
+/// threads than CPUs get preempted inside `submit`, which is what
+/// opens that window.
+#[test]
+fn cache_hit_jobs_finishing_during_submit_are_never_lost() {
+    const TENANTS: usize = 6;
+    const JOBS: usize = 100;
+    let service = DseService::start(DseConfig {
+        workers: 2,
+        ..DseConfig::default()
+    })
+    .unwrap();
+    let client = service.client();
+    let warm = client.submit(fast_spec()).unwrap();
+    client.wait(warm).unwrap();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    for _ in 0..TENANTS {
+        let (tenant, done_tx) = (client.clone(), done_tx.clone());
+        thread::spawn(move || {
+            let ids: Vec<_> = (0..JOBS)
+                .map(|_| tenant.submit(fast_spec()).unwrap())
+                .collect();
+            let hits = ids
+                .into_iter()
+                .filter(|&id| tenant.wait(id).unwrap().cache_hit)
+                .count();
+            let _ = done_tx.send(hits);
+        });
+    }
+    for _ in 0..TENANTS {
+        let hits = done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a cache-hit job never reached a terminal state");
+        assert_eq!(hits, JOBS);
+    }
+    assert_eq!(client.stats().flows_executed, 1);
+    service.shutdown();
+}
