@@ -16,6 +16,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench unit tests (a separate workspace; --workspace never builds it)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection smoke (typed errors, budgets, degradation)"
 cargo test -q --test fault_injection
 

@@ -535,8 +535,8 @@ fn synthetic_parasitics(design: &macro3d_netlist::Design) -> Vec<macro3d_extract
 /// sizing loop, on the small-cache tile. Dumps `BENCH_sta.json`.
 fn bench_sta_parallelism(c: &mut Criterion) {
     use macro3d_sta::{
-        analyze_with, apply_sizing_to_parasitics, upsize_critical_path, ClockArrivals, StaInput,
-        StaMode, StaSession,
+        analyze_par, analyze_probe, apply_sizing_to_parasitics, upsize_critical_path,
+        ClockArrivals, StaInput, StaSession,
     };
 
     if !bench_enabled("sta_parallelism") {
@@ -568,36 +568,10 @@ fn bench_sta_parallelism(c: &mut Criterion) {
     let mut g = c.benchmark_group("sta_parallelism");
     g.sample_size(if smoke() { 2 } else { 10 });
     g.bench_function("analyze_probe", |b| {
-        b.iter(|| {
-            analyze_with(
-                &StaInput {
-                    design: &design,
-                    parasitics: &parasitics,
-                    routed: None,
-                    constraints: &constraints,
-                    clock: &clock,
-                    corner: macro3d_tech::Corner::Ss,
-                },
-                &par,
-                StaMode::Probe,
-            )
-        })
+        b.iter(|| analyze_probe(&input(&design, &parasitics, &constraints, &clock), &par))
     });
     g.bench_function("analyze_parametric", |b| {
-        b.iter(|| {
-            analyze_with(
-                &StaInput {
-                    design: &design,
-                    parasitics: &parasitics,
-                    routed: None,
-                    constraints: &constraints,
-                    clock: &clock,
-                    corner: macro3d_tech::Corner::Ss,
-                },
-                &par,
-                StaMode::Parametric,
-            )
-        })
+        b.iter(|| analyze_par(&input(&design, &parasitics, &constraints, &clock), &par))
     });
     g.finish();
 
@@ -608,14 +582,14 @@ fn bench_sta_parallelism(c: &mut Criterion) {
         let mut d = design.clone();
         let mut p = parasitics.clone();
         let t0 = std::time::Instant::now();
-        let mut timing = analyze_with(&input(&d, &p, &constraints, &clock), &par, StaMode::Probe);
+        let mut timing = analyze_probe(&input(&d, &p, &constraints, &clock), &par);
         for _ in 0..rounds {
             let changes = upsize_critical_path(&mut d, &timing);
             if changes.is_empty() {
                 break;
             }
             apply_sizing_to_parasitics(&d, &changes, &mut p);
-            timing = analyze_with(&input(&d, &p, &constraints, &clock), &par, StaMode::Probe);
+            timing = analyze_probe(&input(&d, &p, &constraints, &clock), &par);
         }
         (t0.elapsed().as_secs_f64(), timing.min_period_ps)
     };

@@ -221,7 +221,7 @@ pub fn cached_sram(
 
 /// Cached memory-on-logic floorplan seed: the
 /// [`crate::flow::assign_macros_mol`] split followed by
-/// [`crate::flow::pack_mol_floorplans`], keyed by the design content,
+/// [`crate::flow::try_pack_mol_floorplans`], keyed by the design content,
 /// die and packing knobs. Macro-3D, MoL S2D and Compact-2D all pack
 /// the same macros on the same 3D-footprint die, so one build serves
 /// all three flows.

@@ -11,31 +11,23 @@
 //! partitioning / overlap fixing / via planning / re-route tail as
 //! S2D — plus the post-tier-partitioning optimization C2D adds.
 
-use crate::build_cache::{cached_combined_beol, cached_stack, try_cached_mol_floorplan};
+use crate::build_cache::{cached_combined_beol, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, finish_design, macro_obstacles, route_pins, sta_constraints, FlowConfig,
-    ImplementedDesign, StageTimer,
+    area_budget, finish_design, sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
 };
-use crate::s2d::{partition_and_finalize, S2dDiagnostics};
+use crate::s2d::{
+    final_floorplan, partition_and_finalize, pseudo2d_stage1, shrunk_stage_floorplan,
+    S2dDiagnostics,
+};
+use crate::stage::PlaceSnap;
 use macro3d_geom::Dbu;
-use macro3d_netlist::{InstId, NetId};
 use macro3d_place::floorplan::die_for_area;
-use macro3d_place::{BlockageKind, Floorplan, PortPlan};
-use macro3d_route::{RouteRequest, Router};
+use macro3d_place::PortPlan;
 use macro3d_soc::TileNetlist;
-use macro3d_sta::{
-    analyze_with, clock_arrivals, upsize_critical_path, StaInput, StaMode, StaSession,
-};
-use macro3d_tech::stack::DieRole;
-use macro3d_tech::Corner;
 
-/// Runs the C2D flow.
-///
-/// `reuse` is forwarded to the shared [`finish_design`] tail; like
-/// S2D, C2D's stage-1 pseudo-2D run consumes the route/STA knobs, so
-/// its stage keys are coarse and prefix reuse only triggers for
-/// fully-identical upstream state (see `crate::stage`).
+/// Runs the C2D flow. Like S2D, it never uses the stage cache (see
+/// [`crate::stage`]).
 ///
 /// # Errors
 ///
@@ -45,7 +37,6 @@ use macro3d_tech::Corner;
 pub(crate) fn implement(
     tile: &TileNetlist,
     cfg: &FlowConfig,
-    reuse: Option<&mut crate::stage::StageReuse<'_>>,
 ) -> Result<(ImplementedDesign, S2dDiagnostics), FlowError> {
     let mut timer = StageTimer::new();
     let mut design = tile.design.clone();
@@ -71,126 +62,29 @@ pub(crate) fn implement(
     macro_placements.extend_from_slice(&mol.1);
 
     // --- stage 1: enlarged pseudo-2D design --------------------------
-    // blockages scaled up by the enlargement factor
-    let mut fp_2x = Floorplan::new(die_2x, lib.row_height(), lib.site_width());
-    for mp in &macro_placements {
-        fp_2x.add_blockage(mp.rect.scale(up).inflate(halo), BlockageKind::Partial(0.5));
-        let mut scaled = *mp;
-        scaled.rect = mp.rect.scale(up);
-        fp_2x.macros.push(scaled);
-    }
-    fp_2x.quantize_partial_blockages(Dbu::from_um(cfg.partial_blockage_period_um));
-
+    // blockages scaled up by the enlargement factor, R and C per unit
+    // length scaled by 1/sqrt(2) to approximate the target stack
+    let fp_2x = shrunk_stage_floorplan(
+        &lib,
+        die_2x,
+        &macro_placements,
+        halo,
+        Dbu::from_um(cfg.partial_blockage_period_um),
+        up,
+    );
     let ports_2x = PortPlan::assign(&design, die_2x);
     timer.mark("floorplan");
     flow_gate("flow/place")?;
-    let (mut placement, tree) = crate::flow::place_pipeline(
+    let (mut placement, tree) = pseudo2d_stage1(
+        "c2d",
         &mut design,
         &fp_2x,
         &ports_2x,
         &constraints,
         cfg,
+        Some(1.0 / 2.0_f64.sqrt()),
         &mut timer,
     );
-
-    let stack_2d = cached_stack(cfg.logic_metals, DieRole::Logic);
-    let obstacles = macro_obstacles(
-        &design,
-        &fp_2x,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let nets = route_pins(
-        &design,
-        &placement,
-        &ports_2x,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let routed_stage1 = Router::new(
-        &RouteRequest {
-            die: die_2x,
-            stack: &stack_2d,
-            obstacles: &obstacles,
-            nets: &nets,
-            num_nets: design.num_nets(),
-        },
-        &cfg.route,
-    )
-    .route();
-    timer.mark("c2d_stage1_route");
-    let mut parasitics = crate::flow::extract_all(
-        &design,
-        &placement,
-        &ports_2x,
-        &stack_2d,
-        &routed_stage1,
-        &constraints,
-        Corner::signoff(),
-        &cfg.parallelism,
-    );
-    // C2D's per-unit-length parasitic scaling: 1/sqrt(2) on R and C
-    let s = 1.0 / 2.0_f64.sqrt();
-    for p in &mut parasitics {
-        let old_wire = p.wire_cap_ff;
-        p.wire_cap_ff *= s;
-        p.total_res_ohm *= s;
-        for e in &mut p.elmore_ps {
-            *e *= s * s;
-        }
-        p.driver_load_ff -= old_wire - p.wire_cap_ff;
-    }
-    let clock_stage1 = clock_arrivals(&design, &tree, &parasitics, Corner::signoff());
-    // parametric mode: one StaSession across the sizing rounds,
-    // re-timing only the cones downstream of resized gates
-    let mut session = match cfg.sta_mode {
-        StaMode::Parametric => Some(StaSession::new(&StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        })),
-        StaMode::Probe => None,
-    };
-    let mut touched: Vec<NetId> = Vec::new();
-    for round in 0..cfg.sizing_rounds {
-        // budget checkpoint: stopping keeps the current valid sizing
-        if let macro3d_par::Checkpoint::Stop(reason) = macro3d_par::checkpoint("sta/sizing_rounds")
-        {
-            macro3d_par::note_degradation(
-                "sta/sizing_rounds",
-                reason,
-                format!(
-                    "stopped after {round} of {} sizing rounds",
-                    cfg.sizing_rounds
-                ),
-            );
-            break;
-        }
-        let input = StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        };
-        let t = match &mut session {
-            Some(s) if round > 0 => s.update(&input, &touched, &cfg.parallelism),
-            Some(s) => s.analyze(&input, &cfg.parallelism),
-            None => analyze_with(&input, &cfg.parallelism, StaMode::Probe),
-        };
-        let changes = upsize_critical_path(&mut design, &t);
-        if changes.is_empty() {
-            break;
-        }
-        touched = macro3d_sta::opt::apply_sizing_to_parasitics(&design, &changes, &mut parasitics);
-    }
-    timer.mark("c2d_stage1_sizing");
 
     // --- stage 2: linear mapping into the F2F footprint --------------
     let down = 1.0 / up;
@@ -199,8 +93,6 @@ pub(crate) fn implement(
             placement.pos[i.index()] = placement.pos[i.index()].scale(down);
         }
     }
-    let insts: Vec<InstId> = design.inst_ids().collect();
-    let _ = insts;
 
     // --- stage 3: tier partition + overlap fix + via plan ------------
     let diag = partition_and_finalize(
@@ -217,26 +109,23 @@ pub(crate) fn implement(
     // --- stage 4: re-route on the combined stack with C2D's
     // post-tier-partitioning optimization enabled ----------------------
     let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-    let mut fp_final = Floorplan::new(die_3d, lib.row_height(), lib.site_width());
-    for mp in &macro_placements {
-        fp_final.add_macro(*mp, DieRole::Logic, halo);
-    }
-    let ports = PortPlan::assign(&design, die_3d);
-
-    let imp = finish_design(
+    let placed = PlaceSnap {
+        fp: final_floorplan(die_3d, &macro_placements, halo, &lib),
+        ports: PortPlan::assign(&design, die_3d),
         design,
+        stack: combined.stack().clone(),
         placement,
-        ports,
-        fp_final,
-        combined.stack().clone(),
-        cfg.logic_metals,
         tree,
+    };
+    // post-partition optimization (C2D's addition)
+    let imp = finish_design(
+        placed,
         constraints,
         cfg,
         true,
-        cfg.sizing_rounds, // post-partition optimization (C2D's addition)
+        cfg.sizing_rounds,
         timer,
-        reuse,
+        None,
     )?;
     Ok((imp, diag))
 }

@@ -11,7 +11,7 @@ use crate::flow::FlowConfig;
 use macro3d_par::{FaultPlan, FlowBudget, Parallelism};
 use macro3d_place::GlobalPlaceConfig;
 use macro3d_route::RouteConfig;
-use macro3d_sta::{CtsConfig, StaMode};
+use macro3d_sta::CtsConfig;
 use std::fmt;
 
 /// A rejected [`FlowConfig`] field (see [`FlowConfigBuilder::build`]).
@@ -142,13 +142,6 @@ impl FlowConfigBuilder {
     /// Post-route sizing iterations.
     pub fn sizing_rounds(mut self, rounds: usize) -> Self {
         self.cfg.sizing_rounds = rounds;
-        self
-    }
-
-    /// Minimum-period engine ([`StaMode::Parametric`] by default;
-    /// [`StaMode::Probe`] keeps the legacy binary search).
-    pub fn sta_mode(mut self, mode: StaMode) -> Self {
-        self.cfg.sta_mode = mode;
         self
     }
 
@@ -389,17 +382,6 @@ mod tests {
         let err = FlowConfig::builder().util_logic(65.0).build().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("util_logic") && msg.contains("65"), "{msg}");
-    }
-
-    #[test]
-    fn sta_mode_defaults_parametric_and_builder_overrides() {
-        let cfg = FlowConfig::builder().build().expect("valid");
-        assert_eq!(cfg.sta_mode, StaMode::Parametric);
-        let cfg = FlowConfig::builder()
-            .sta_mode(StaMode::Probe)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.sta_mode, StaMode::Probe);
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! Shared flow infrastructure: configuration, floorplan sizing, the
-//! common place/route/extract/sign-off engine every flow drives.
+//! direct-flow driver, and the common place/route/extract/sign-off
+//! engine every flow drives.
 
+use crate::error::{flow_gate, FlowError};
+use crate::stage::{ExtractSnap, FloorplanSnap, PlaceSnap, StageReuse};
 use macro3d_extract::{extract_net, NetParasitics};
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_par::{
     checkpoint, note_degradation, parallel_map, Checkpoint, FaultPlan, FlowBudget, Parallelism,
 };
+use macro3d_place::floorplan::die_for_area;
 use macro3d_place::{global_place, legalize, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RouteRequest, RoutedDesign, Router};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
-    analyze_power, analyze_with, check_hold, clock_arrivals, insert_repeaters,
-    synthesize_clock_tree, upsize_critical_path, ClockArrivals, ClockTree, CtsConfig, HoldReport,
-    PowerInput, PowerReport, StaConstraints, StaInput, StaMode, StaSession, TimingReport,
+    analyze_power, check_hold, clock_arrivals, insert_repeaters, synthesize_clock_tree,
+    upsize_critical_path, ClockArrivals, ClockTree, CtsConfig, HoldReport, PowerInput, PowerReport,
+    StaConstraints, StaInput, StaSession, TimingReport,
 };
 use macro3d_tech::stack::{DieRole, MetalStack};
 use macro3d_tech::Corner;
@@ -49,13 +53,6 @@ pub struct FlowConfig {
     pub cts: CtsConfig,
     /// Post-route sizing iterations.
     pub sizing_rounds: usize,
-    /// Minimum-period engine for every sign-off analysis.
-    /// [`StaMode::Parametric`] (the default) runs one affine
-    /// propagation plus a confirmation and lets the sizing loops
-    /// re-time only the fan-out cones of resized gates;
-    /// [`StaMode::Probe`] keeps the legacy 32-probe binary search
-    /// with a full re-analysis per sizing round.
-    pub sta_mode: StaMode,
     /// Quantization period for partial blockages in the S2D/C2D
     /// pseudo-2D stages, µm (the commercial tools' coarse spatial
     /// resolution the paper observes).
@@ -95,7 +92,6 @@ impl Default for FlowConfig {
             route: RouteConfig::default(),
             cts: CtsConfig::default(),
             sizing_rounds: 8,
-            sta_mode: StaMode::default(),
             partial_blockage_period_um: 8.0,
             place: GlobalPlaceConfig::default(),
             parallelism: Parallelism::default(),
@@ -210,7 +206,7 @@ pub fn try_pack_mol_floorplans(
         Vec<macro3d_place::MacroPlacement>,
         Vec<macro3d_place::MacroPlacement>,
     ),
-    crate::error::FlowError,
+    FlowError,
 > {
     use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
     use macro3d_place::macro_place::{pack_ring, pack_shelves};
@@ -232,7 +228,7 @@ pub fn try_pack_mol_floorplans(
         match top.pop() {
             Some(m) => bottom.push(m),
             None => {
-                return Err(crate::error::FlowError::Floorplan {
+                return Err(FlowError::Floorplan {
                     stage: "mol/dual_pack",
                     detail: format!(
                         "{} logic-die macros do not fit the {:.0}x{:.0}um die",
@@ -243,29 +239,6 @@ pub fn try_pack_mol_floorplans(
                 });
             }
         }
-    }
-}
-
-/// Infallible wrapper over [`try_pack_mol_floorplans`] for callers
-/// that know their configuration packs (benches, tests).
-///
-/// # Panics
-///
-/// Panics with the underlying [`FlowError`](crate::error::FlowError)
-/// message if packing fails.
-pub fn pack_mol_floorplans(
-    design: &Design,
-    die: Rect,
-    halo: Dbu,
-    top: Vec<InstId>,
-    bottom: Vec<InstId>,
-) -> (
-    Vec<macro3d_place::MacroPlacement>,
-    Vec<macro3d_place::MacroPlacement>,
-) {
-    match try_pack_mol_floorplans(design, die, halo, top, bottom) {
-        Ok(packed) => packed,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -440,6 +413,40 @@ pub fn route_pins(
         .collect()
 }
 
+/// A routing session over `stack` for a placed design: placed macro
+/// blockages become obstacles and every net's pins sit at their
+/// [`pin_layer`]s.
+pub(crate) fn router_for(
+    design: &Design,
+    placement: &Placement,
+    ports: &PortPlan,
+    fp: &Floorplan,
+    stack: &MetalStack,
+    cfg: &FlowConfig,
+    macro_pins_projected: bool,
+) -> Router {
+    let (logic_metals, layers) = (cfg.logic_metals, stack.num_layers());
+    let obstacles = macro_obstacles(design, fp, logic_metals, layers, macro_pins_projected);
+    let nets = route_pins(
+        design,
+        placement,
+        ports,
+        logic_metals,
+        layers,
+        macro_pins_projected,
+    );
+    Router::new(
+        &RouteRequest {
+            die: fp.die(),
+            stack,
+            obstacles: &obstacles,
+            nets: &nets,
+            num_nets: design.num_nets(),
+        },
+        &cfg.route,
+    )
+}
+
 /// Extracts every net of a routed design. Sink order matches
 /// `design.sinks(net)`; output ports contribute the constraint load.
 ///
@@ -585,10 +592,10 @@ impl Default for StageTimer {
     }
 }
 
-/// The placement pipeline shared by the direct flows: global place →
-/// repeater insertion → CTS → legalization. Returns the clock tree.
-/// Stage wall-clock lands in `timer`.
-pub fn place_pipeline(
+/// The placement pipeline every flow shares: global place → repeater
+/// insertion → CTS → legalization. Returns the clock tree. Stage
+/// wall-clock lands in `timer`.
+pub(crate) fn place_pipeline(
     design: &mut Design,
     fp: &Floorplan,
     ports: &PortPlan,
@@ -663,11 +670,110 @@ pub fn place_pipeline(
     (placement, tree)
 }
 
-/// Routes, extracts and signs a placed design off, including the
-/// Sign-off [`StaInput`] at the SS corner — the sizing loop below
-/// rebuilds this every round because `design` and `parasitics` are
-/// mutated between analyses.
-fn signoff_input<'a>(
+/// A direct flow's floorplan builder: from the pristine tile design,
+/// the die and the area budget, the floorplan and the stack routing
+/// runs on.
+pub(crate) type FloorplanBuilder =
+    fn(&Design, Rect, &AreaBudget, &FlowConfig) -> Result<(Floorplan, MetalStack), FlowError>;
+
+/// The direct-flow driver behind 2D and Macro-3D: floorplan → place
+/// on one unmodified 2D engine, then [`finish_design`]. The driver
+/// owns everything the two flows share — stage-snapshot restore and
+/// store, the `flow/floorplan` and `flow/place` gates and the
+/// [`StageTimer`] marks — so a flow supplies only:
+///
+/// * `die_area_factor`: the die area in units of the 3D footprint
+///   `a3d` of [`area_budget`] (2 for 2D, 1 for Macro-3D);
+/// * `floorplan`: builds the floorplan and the routing stack on the
+///   given die from the pristine tile design;
+/// * `macro_pins_projected`: whether macro-die macro pins and
+///   blockages sit on their `_MD` layers (see [`pin_layer`]).
+///
+/// `reuse` is the worker's stage-artifact view (see [`crate::stage`]):
+/// a matched floorplan or place prefix re-enters the flow downstream
+/// of it on a deep clone of the previous run's snapshot, and every
+/// cold stage stores its snapshot for the next run.
+///
+/// # Errors
+///
+/// Returns whatever `floorplan` returns ([`FlowError::Floorplan`] when
+/// the macros cannot be packed) and [`FlowError::Injected`] when the
+/// active fault plan injects an error at a flow gate.
+pub(crate) fn run_direct(
+    tile: &TileNetlist,
+    cfg: &FlowConfig,
+    die_area_factor: f64,
+    floorplan: FloorplanBuilder,
+    macro_pins_projected: bool,
+    mut reuse: Option<&mut StageReuse<'_>>,
+) -> Result<ImplementedDesign, FlowError> {
+    let mut timer = StageTimer::new();
+    let constraints = sta_constraints(tile);
+    let placed = match reuse.as_deref().and_then(StageReuse::place_snap) {
+        Some(snap) => {
+            // the design already carries repeaters and clock buffers
+            let placed = PlaceSnap::clone(&snap);
+            timer.mark("floorplan");
+            timer.mark("place_reused");
+            placed
+        }
+        None => {
+            let mut design = tile.design.clone();
+            let floorplanned = match reuse.as_deref().and_then(StageReuse::floorplan_snap) {
+                Some(snap) => FloorplanSnap::clone(&snap),
+                None => {
+                    let budget = area_budget(&design, cfg);
+                    let lib = design.library();
+                    let die = die_for_area(
+                        die_area_factor * budget.a3d_um2,
+                        1.0,
+                        lib.row_height(),
+                        lib.site_width(),
+                    );
+                    flow_gate("flow/floorplan")?;
+                    let (fp, stack) = floorplan(&design, die, &budget, cfg)?;
+                    let ports = PortPlan::assign(&design, die);
+                    let snap = FloorplanSnap { fp, ports, stack };
+                    if let Some(r) = reuse.as_deref_mut() {
+                        r.store_floorplan(snap.clone());
+                    }
+                    snap
+                }
+            };
+            timer.mark("floorplan");
+            flow_gate("flow/place")?;
+            let FloorplanSnap { fp, ports, stack } = floorplanned;
+            let (placement, tree) =
+                place_pipeline(&mut design, &fp, &ports, &constraints, cfg, &mut timer);
+            let placed = PlaceSnap {
+                design,
+                fp,
+                ports,
+                stack,
+                placement,
+                tree,
+            };
+            if let Some(r) = reuse.as_deref_mut() {
+                r.store_place(placed.clone());
+            }
+            placed
+        }
+    };
+    finish_design(
+        placed,
+        constraints,
+        cfg,
+        macro_pins_projected,
+        cfg.sizing_rounds,
+        timer,
+        reuse,
+    )
+}
+
+/// Sign-off [`StaInput`] at the SS corner. The sizing loops rebuild
+/// this every round because `design` and `parasitics` are mutated
+/// between analyses.
+pub(crate) fn signoff_input<'a>(
     design: &'a Design,
     parasitics: &'a [NetParasitics],
     routed: &'a RoutedDesign,
@@ -684,9 +790,12 @@ fn signoff_input<'a>(
     }
 }
 
+/// Routes, extracts and signs a placed design off, including the
 /// post-route sizing loop. This is flow step 3 ("standard 2D P&R
-/// engine") plus sign-off. `timer` continues the flow's stage clock
-/// and ends up in the returned design's `stage_times`.
+/// engine") plus sign-off. `placed` is the place-boundary state (its
+/// stack is the one routing runs on), and `timer` continues the
+/// flow's stage clock and ends up in the returned design's
+/// `stage_times`.
 ///
 /// `reuse` is the per-worker stage-artifact view (see
 /// [`crate::stage`]): when the matched key prefix covers the route
@@ -698,61 +807,42 @@ fn signoff_input<'a>(
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::Injected`](crate::error::FlowError::Injected)
-/// when the active fault plan injects an error at one of the
-/// `flow/route`, `flow/extract` or `flow/sta` gates. Budget
-/// exhaustion does not error: the sizing loop stops at its checkpoint
-/// and the run completes degraded. (Stage reuse is disabled whenever
-/// a budget or fault plan is active — `reuse` arrives as `None`.)
-#[allow(clippy::too_many_arguments)]
-pub fn finish_design(
-    mut design: Design,
-    mut placement: Placement,
-    ports: PortPlan,
-    fp: Floorplan,
-    stack: MetalStack,
-    logic_metals: usize,
-    clock_tree: ClockTree,
+/// Returns [`FlowError::Injected`] when the active fault plan injects
+/// an error at one of the `flow/route`, `flow/extract` or `flow/sta`
+/// gates. Budget exhaustion does not error: the sizing loop stops at
+/// its checkpoint and the run completes degraded. (Stage reuse is
+/// disabled whenever a budget or fault plan is active — `reuse`
+/// arrives as `None`.)
+pub(crate) fn finish_design(
+    placed: PlaceSnap,
     constraints: StaConstraints,
     cfg: &FlowConfig,
     macro_pins_projected: bool,
     sizing_rounds: usize,
     mut timer: StageTimer,
-    mut reuse: Option<&mut crate::stage::StageReuse<'_>>,
-) -> Result<ImplementedDesign, crate::error::FlowError> {
+    mut reuse: Option<&mut StageReuse<'_>>,
+) -> Result<ImplementedDesign, FlowError> {
+    let PlaceSnap {
+        mut design,
+        fp,
+        ports,
+        stack,
+        mut placement,
+        tree: clock_tree,
+    } = placed;
     let par = cfg.parallelism;
-    let die = fp.die();
-    crate::error::flow_gate("flow/route")?;
-    let routed = match reuse
-        .as_deref()
-        .and_then(crate::stage::StageReuse::route_snap)
-    {
+    flow_gate("flow/route")?;
+    let routed = match reuse.as_deref().and_then(StageReuse::route_snap) {
         Some(snap) => snap.routed.clone(),
         None => {
-            let obstacles = macro_obstacles(
-                &design,
-                &fp,
-                logic_metals,
-                stack.num_layers(),
-                macro_pins_projected,
-            );
-            let nets = route_pins(
+            let mut router = router_for(
                 &design,
                 &placement,
                 &ports,
-                logic_metals,
-                stack.num_layers(),
+                &fp,
+                &stack,
+                cfg,
                 macro_pins_projected,
-            );
-            let mut router = Router::new(
-                &RouteRequest {
-                    die,
-                    stack: &stack,
-                    obstacles: &obstacles,
-                    nets: &nets,
-                    num_nets: design.num_nets(),
-                },
-                &cfg.route,
             );
             let routed = router.route();
             if let Some(r) = reuse.as_deref_mut() {
@@ -762,16 +852,10 @@ pub fn finish_design(
         }
     };
     timer.mark("route");
-    crate::error::flow_gate("flow/extract")?;
-    let (mut parasitics, clock, cached_session) = match reuse
-        .as_deref()
-        .and_then(crate::stage::StageReuse::extract_snap)
-    {
-        Some(snap) => (
-            snap.parasitics.clone(),
-            snap.clock.clone(),
-            snap.session.clone(),
-        ),
+    flow_gate("flow/extract")?;
+    let restored = reuse.as_deref().and_then(StageReuse::extract_snap);
+    let (mut parasitics, clock) = match &restored {
+        Some(snap) => (snap.parasitics.clone(), snap.clock.clone()),
         None => {
             let parasitics = extract_all(
                 &design,
@@ -784,52 +868,42 @@ pub fn finish_design(
                 &par,
             );
             let clock = clock_arrivals(&design, &clock_tree, &parasitics, Corner::signoff());
-            if let Some(r) = reuse.as_deref_mut() {
-                r.store_extract(&parasitics, &clock);
-            }
-            (parasitics, clock, None)
+            (parasitics, clock)
         }
     };
     timer.mark("extract");
-    crate::error::flow_gate("flow/sta")?;
+    flow_gate("flow/sta")?;
 
-    // Parametric mode keeps one StaSession alive across the sizing
-    // loop: the timing graph is built once and each round re-times
-    // only the fan-out cones of the nets `apply_sizing_to_parasitics`
-    // reports as touched. Probe mode re-runs the legacy binary-search
-    // analysis from scratch every round. A reused session is a copy
-    // taken right after graph build (no converged state), so it is
-    // indistinguishable from the freshly-built one it replaces.
-    let mut session = match cfg.sta_mode {
-        StaMode::Parametric => {
-            let s = match cached_session {
-                Some(s) => s,
-                None => StaSession::new(&signoff_input(
-                    &design,
-                    &parasitics,
-                    &routed,
-                    &constraints,
-                    &clock,
-                )),
-            };
+    // One StaSession keeps the timing graph alive across the sizing
+    // loop: each round re-times only the fan-out cones of the nets
+    // `apply_sizing_to_parasitics` reports as touched. A cold run
+    // stores the session right after graph build (no converged
+    // state) in the extract slot, so a restored copy is
+    // indistinguishable from a freshly built one.
+    let mut session = match restored {
+        Some(snap) => snap.session.clone(),
+        None => {
+            let session = StaSession::new(&signoff_input(
+                &design,
+                &parasitics,
+                &routed,
+                &constraints,
+                &clock,
+            ));
             if let Some(r) = reuse {
-                r.attach_session(&s);
+                r.store_extract(ExtractSnap {
+                    parasitics: parasitics.clone(),
+                    clock: clock.clone(),
+                    session: session.clone(),
+                });
             }
-            Some(s)
+            session
         }
-        StaMode::Probe => None,
     };
-    let mut timing = match &mut session {
-        Some(s) => s.analyze(
-            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-            &par,
-        ),
-        None => analyze_with(
-            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-            &par,
-            StaMode::Probe,
-        ),
-    };
+    let mut timing = session.analyze(
+        &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+        &par,
+    );
     let mut resized: HashSet<InstId> = HashSet::new();
     for round in 0..sizing_rounds {
         // cooperative budget checkpoint: on exhaustion keep the
@@ -849,18 +923,11 @@ pub fn finish_design(
         resized.extend(changes.iter().map(|(i, _)| *i));
         let touched =
             macro3d_sta::opt::apply_sizing_to_parasitics(&design, &changes, &mut parasitics);
-        let t2 = match &mut session {
-            Some(s) => s.update(
-                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                &touched,
-                &par,
-            ),
-            None => analyze_with(
-                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                &par,
-                StaMode::Probe,
-            ),
-        };
+        let t2 = session.update(
+            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+            &touched,
+            &par,
+        );
         if t2.min_period_ps >= timing.min_period_ps {
             break;
         }
@@ -923,20 +990,13 @@ pub fn finish_design(
                 clock: &clock,
                 corner: macro3d_tech::Corner::Ff,
             });
-            // hold fixing added instances and nets: the parametric
-            // session notices the structural change and rebuilds its
-            // timing graph before re-solving
-            timing = match &mut session {
-                Some(s) => s.analyze(
-                    &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                    &par,
-                ),
-                None => analyze_with(
-                    &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                    &par,
-                    StaMode::Probe,
-                ),
-            };
+            // hold fixing added instances and nets: the session
+            // notices the structural change and rebuilds its timing
+            // graph before re-solving
+            timing = session.analyze(
+                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+                &par,
+            );
         }
     }
 
@@ -976,7 +1036,7 @@ pub fn finish_design(
         timing,
         hold,
         power,
-        logic_metals,
+        logic_metals: cfg.logic_metals,
         stage_times: timer.into_times(),
     })
 }
@@ -989,11 +1049,6 @@ pub fn logic_cell_area_mm2(design: &Design) -> f64 {
         .map(|i| design.inst_area_um2(i))
         .sum::<f64>()
         / 1e6
-}
-
-/// Instances that are standard cells.
-pub fn std_cells(design: &Design) -> Vec<InstId> {
-    design.inst_ids().filter(|&i| !design.is_macro(i)).collect()
 }
 
 #[cfg(test)]

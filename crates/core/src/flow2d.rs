@@ -7,156 +7,88 @@
 //! footprint (equal total silicon, per the paper's fairness rule).
 
 use crate::build_cache::{cached_stack, design_fingerprint};
-use crate::error::{flow_gate, FlowError};
-use crate::flow::{
-    area_budget, finish_design, place_pipeline, sta_constraints, FlowConfig, ImplementedDesign,
-    StageTimer,
-};
-use crate::stage::{FloorplanSnap, PlaceSnap, StageReuse};
-use macro3d_geom::Dbu;
-use macro3d_place::floorplan::die_for_area;
+use crate::error::FlowError;
+use crate::flow::{run_direct, AreaBudget, FlowConfig, ImplementedDesign};
+use crate::stage::StageReuse;
+use macro3d_geom::{Dbu, Rect};
+use macro3d_netlist::Design;
 use macro3d_place::macro_place::{pack_bands, pack_ring, pack_shelves};
-use macro3d_place::{Floorplan, PortPlan};
+use macro3d_place::Floorplan;
 use macro3d_soc::TileNetlist;
-use macro3d_tech::stack::DieRole;
+use macro3d_tech::stack::{DieRole, MetalStack};
 
-/// Runs the 2D baseline flow and returns the implemented design.
+/// Runs the 2D baseline flow on the direct-flow driver: a die of
+/// twice the 3D footprint (same silicon area in both styles), the
+/// single-die stack, so no macro pin is projected.
 ///
-/// `reuse` carries the worker's stage-artifact cache (see
-/// [`crate::stage`]); matched floorplan/place prefixes re-enter the
-/// flow downstream on deep clones of the previous run's snapshots.
+/// # Errors
+///
+/// See [`run_direct`].
+pub(crate) fn implement(
+    tile: &TileNetlist,
+    cfg: &FlowConfig,
+    reuse: Option<&mut StageReuse<'_>>,
+) -> Result<ImplementedDesign, FlowError> {
+    run_direct(tile, cfg, 2.0, floorplan, false, reuse)
+}
+
+/// Packs every macro on the 2D die and anneals the packing; returns
+/// the floorplan with the single-die stack.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::Floorplan`] if the macros cannot be packed on
-/// the computed die (cannot happen for the paper's configurations
-/// with default utilization targets) and [`FlowError::Injected`] when
-/// the active fault plan injects an error at a flow gate.
-pub(crate) fn implement(
-    tile: &TileNetlist,
+/// the die (cannot happen for the paper's configurations with default
+/// utilization targets).
+fn floorplan(
+    design: &Design,
+    die: Rect,
+    budget: &AreaBudget,
     cfg: &FlowConfig,
-    mut reuse: Option<&mut StageReuse<'_>>,
-) -> Result<ImplementedDesign, FlowError> {
-    let mut timer = StageTimer::new();
-    let constraints = sta_constraints(tile);
-
-    let (design, fp, ports, stack, placement, tree);
-    if let Some(snap) = reuse.as_deref().and_then(StageReuse::place_snap) {
-        design = snap.design.clone();
-        fp = snap.fp.clone();
-        ports = snap.ports.clone();
-        stack = snap.stack.clone();
-        placement = snap.placement.clone();
-        tree = snap.tree.clone();
-        timer.mark("floorplan");
-        timer.mark("place_reused");
-    } else {
-        let mut d = tile.design.clone();
-        let budget = area_budget(&d, cfg);
-        let lib = d.library().clone();
-
-        // 2x the 3D footprint: same silicon area in both styles.
-        let die = die_for_area(
-            2.0 * budget.a3d_um2,
-            1.0,
-            lib.row_height(),
-            lib.site_width(),
-        );
-        let halo = Dbu::from_um(cfg.halo_um);
-
-        let (fp_c, ports_c, stack_c) = match reuse.as_deref().and_then(StageReuse::floorplan_snap) {
-            Some(snap) => (snap.fp.clone(), snap.ports.clone(), snap.stack.clone()),
-            None => {
-                let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
-                let macros: Vec<_> = d.inst_ids().filter(|&i| d.is_macro(i)).collect();
-                // macro-light dies use the periphery ring (small-cache
-                // Fig. 4); macro-heavy dies interleave macro bands with
-                // cell strips (large-cache Fig. 5), which keeps wire
-                // detours short
-                let macro_fraction = budget.macro_um2 / (budget.macro_um2 + budget.cell_um2);
-                let cell_fraction = (budget.cell_um2 / cfg.util_logic)
-                    / (budget.cell_um2 / cfg.util_logic + budget.macro_um2 / cfg.util_macro);
-                let fp_key = format!(
-                    "fp-2d/{:016x}/{die:?}/{halo:?}/{:.6}/{:.6}",
-                    design_fingerprint(&d),
-                    macro_fraction,
-                    cell_fraction
-                );
-                flow_gate("flow/floorplan")?;
-                let placements = crate::build_cache::global().try_get_or_build(&fp_key, || {
-                    let mut packed = if macro_fraction > 0.7 {
-                        pack_bands(&d, &macros, die, halo, cell_fraction.min(0.9))
-                            .or_else(|| pack_ring(&d, &macros, die, halo))
-                    } else {
-                        pack_ring(&d, &macros, die, halo)
-                    }
-                    .or_else(|| pack_shelves(&d, &macros, die, halo, DieRole::Logic))
-                    .ok_or_else(|| FlowError::Floorplan {
-                        stage: "2d/macro_pack",
-                        detail: format!(
-                            "{} macros do not fit the {:.0}x{:.0}um 2D die",
-                            macros.len(),
-                            die.width().to_um(),
-                            die.height().to_um()
-                        ),
-                    })?;
-                    // same floorplan-optimization step as the 3D flows
-                    use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
-                    refine_macros_sa(&d, &mut packed, die, halo, &AnnealConfig::default());
-                    Ok::<_, FlowError>(packed)
-                })?;
-                for &mp in placements.iter() {
-                    fp.add_macro(mp, DieRole::Logic, halo);
-                }
-
-                let ports = PortPlan::assign(&d, die);
-                let stack = (*cached_stack(cfg.logic_metals, DieRole::Logic)).clone();
-                if let Some(r) = reuse.as_deref_mut() {
-                    r.store_floorplan(FloorplanSnap {
-                        fp: fp.clone(),
-                        ports: ports.clone(),
-                        stack: stack.clone(),
-                    });
-                }
-                (fp, ports, stack)
-            }
-        };
-        timer.mark("floorplan");
-        flow_gate("flow/place")?;
-        let (placement_c, tree_c) =
-            place_pipeline(&mut d, &fp_c, &ports_c, &constraints, cfg, &mut timer);
-        if let Some(r) = reuse.as_deref_mut() {
-            r.store_place(PlaceSnap {
-                design: d.clone(),
-                fp: fp_c.clone(),
-                ports: ports_c.clone(),
-                stack: stack_c.clone(),
-                placement: placement_c.clone(),
-                tree: tree_c.clone(),
-            });
+) -> Result<(Floorplan, MetalStack), FlowError> {
+    let lib = design.library();
+    let halo = Dbu::from_um(cfg.halo_um);
+    let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
+    let macros: Vec<_> = design.inst_ids().filter(|&i| design.is_macro(i)).collect();
+    // macro-light dies use the periphery ring (small-cache Fig. 4);
+    // macro-heavy dies interleave macro bands with cell strips
+    // (large-cache Fig. 5), which keeps wire detours short
+    let macro_fraction = budget.macro_um2 / (budget.macro_um2 + budget.cell_um2);
+    let cell_fraction = (budget.cell_um2 / cfg.util_logic)
+        / (budget.cell_um2 / cfg.util_logic + budget.macro_um2 / cfg.util_macro);
+    let fp_key = format!(
+        "fp-2d/{:016x}/{die:?}/{halo:?}/{:.6}/{:.6}",
+        design_fingerprint(design),
+        macro_fraction,
+        cell_fraction
+    );
+    let placements = crate::build_cache::global().try_get_or_build(&fp_key, || {
+        let mut packed = if macro_fraction > 0.7 {
+            pack_bands(design, &macros, die, halo, cell_fraction.min(0.9))
+                .or_else(|| pack_ring(design, &macros, die, halo))
+        } else {
+            pack_ring(design, &macros, die, halo)
         }
-        design = d;
-        fp = fp_c;
-        ports = ports_c;
-        stack = stack_c;
-        placement = placement_c;
-        tree = tree_c;
+        .or_else(|| pack_shelves(design, &macros, die, halo, DieRole::Logic))
+        .ok_or_else(|| FlowError::Floorplan {
+            stage: "2d/macro_pack",
+            detail: format!(
+                "{} macros do not fit the {:.0}x{:.0}um 2D die",
+                macros.len(),
+                die.width().to_um(),
+                die.height().to_um()
+            ),
+        })?;
+        // same floorplan-optimization step as the 3D flows
+        use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
+        refine_macros_sa(design, &mut packed, die, halo, &AnnealConfig::default());
+        Ok::<_, FlowError>(packed)
+    })?;
+    for &mp in placements.iter() {
+        fp.add_macro(mp, DieRole::Logic, halo);
     }
-
-    let logic_metals = cfg.logic_metals;
-    finish_design(
-        design,
-        placement,
-        ports,
+    Ok((
         fp,
-        stack,
-        logic_metals,
-        tree,
-        constraints,
-        cfg,
-        false,
-        cfg.sizing_rounds,
-        timer,
-        reuse,
-    )
+        (*cached_stack(cfg.logic_metals, DieRole::Logic)).clone(),
+    ))
 }

@@ -50,29 +50,47 @@ pub struct FlowOutcome {
     pub degradation: DegradationReport,
     /// How many leading flow stages were restored from the worker's
     /// stage cache instead of recomputed (`0` = fully cold, `4` =
-    /// only STA+sizing ran; see [`crate::stage`]). Always `0` when
-    /// the run was given no [`StageReuse`].
+    /// only STA+sizing ran; see [`crate::stage`]). Always `0` for the
+    /// pseudo-2D flows, which never use the stage cache, and when the
+    /// run was given no [`StageReuse`].
     pub reuse_depth: usize,
 }
 
-/// Runs `body` inside an obs session named after the flow, with the
-/// config's budget (and fault plan) installed for the flow thread.
+/// The body every [`Flow::try_run_reusing`] shares: runs `implement`
+/// inside an obs session named after the flow, with the config's
+/// budget (and fault plan) installed for the flow thread, and
+/// assembles the [`FlowOutcome`] with the PPA row labelled `label`.
+/// The pseudo-2D flows pass `reuse: None`.
+///
 /// The obs level and metrics registry are process-global, so flows
 /// must run one at a time (they always have: every driver iterates
 /// [`standard_flows`] serially). The obs session and budget scope are
 /// torn down on the error path too, so a failed flow never leaks
 /// global state into the next run.
-fn run_observed<T>(
+fn run_flow(
     name: &str,
+    label: String,
     cfg: &FlowConfig,
-    body: impl FnOnce() -> Result<T, FlowError>,
-) -> Result<(T, DegradationReport, Option<FlowTrace>), FlowError> {
+    reuse: Option<&mut StageReuse<'_>>,
+    implement: impl FnOnce(
+        Option<&mut StageReuse<'_>>,
+    ) -> Result<(ImplementedDesign, Option<S2dDiagnostics>), FlowError>,
+) -> Result<FlowOutcome, FlowError> {
+    let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
     let session = Session::start(cfg.obs, name);
     let scope = BudgetScope::begin(&cfg.budget, cfg.fault_plan.as_ref());
-    let result = body();
+    let result = implement(reuse);
     let degradation = scope.finish();
     let obs = session.finish();
-    Ok((result?, degradation, obs))
+    let (implemented, diagnostics) = result?;
+    Ok(FlowOutcome {
+        ppa: PpaResult::from_impl(label, &implemented),
+        implemented,
+        diagnostics,
+        obs,
+        degradation,
+        reuse_depth,
+    })
 }
 
 /// A complete physical-design methodology, from tile netlist to
@@ -86,7 +104,8 @@ pub trait Flow {
     /// keys match the worker's [`crate::stage::StageCache`] restore
     /// deep clones of the previous run's boundary artifacts, and
     /// cold stages store theirs for the next run.
-    /// [`FlowOutcome::reuse_depth`] reports the matched prefix.
+    /// [`FlowOutcome::reuse_depth`] reports the matched prefix. The
+    /// pseudo-2D flows ignore `reuse`.
     ///
     /// # Errors
     ///
@@ -141,17 +160,8 @@ impl Flow for Flow2d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let (implemented, degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::flow2d::implement(tile, cfg, reuse)
-        })?;
-        Ok(FlowOutcome {
-            ppa: PpaResult::from_impl(self.name(), &implemented),
-            implemented,
-            diagnostics: None,
-            obs,
-            degradation,
-            reuse_depth,
+        run_flow(self.name(), self.name().into(), cfg, reuse, |reuse| {
+            Ok((crate::flow2d::implement(tile, cfg, reuse)?, None))
         })
     }
 }
@@ -176,21 +186,11 @@ impl Flow for S2d {
         &self,
         tile: &TileNetlist,
         cfg: &FlowConfig,
-        reuse: Option<&mut StageReuse<'_>>,
+        _reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let ((implemented, diag), degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::s2d::implement(tile, cfg, self.style, reuse)
-        })?;
-        let mut ppa = PpaResult::from_impl(self.name(), &implemented);
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: Some(diag),
-            obs,
-            degradation,
-            reuse_depth,
+        run_flow(self.name(), self.name().into(), cfg, None, |_| {
+            let (implemented, diag) = crate::s2d::implement(tile, cfg, self.style)?;
+            Ok((implemented, Some(diag)))
         })
     }
 }
@@ -208,20 +208,11 @@ impl Flow for C2d {
         &self,
         tile: &TileNetlist,
         cfg: &FlowConfig,
-        reuse: Option<&mut StageReuse<'_>>,
+        _reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let ((implemented, diag), degradation, obs) =
-            run_observed(self.name(), cfg, || crate::c2d::implement(tile, cfg, reuse))?;
-        let mut ppa = PpaResult::from_impl(self.name(), &implemented);
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: Some(diag),
-            obs,
-            degradation,
-            reuse_depth,
+        run_flow(self.name(), self.name().into(), cfg, None, |_| {
+            let (implemented, diag) = crate::c2d::implement(tile, cfg)?;
+            Ok((implemented, Some(diag)))
         })
     }
 }
@@ -243,23 +234,9 @@ impl Flow for Macro3d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let (implemented, degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::macro3d_flow::implement(tile, cfg, reuse)
-        })?;
-        let mut ppa = PpaResult::from_impl(
-            format!("Macro-3D M{}-M{}", cfg.logic_metals, cfg.macro_metals),
-            &implemented,
-        );
-        // per-die footprint x per-die layer counts
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: None,
-            obs,
-            degradation,
-            reuse_depth,
+        let label = format!("Macro-3D M{}-M{}", cfg.logic_metals, cfg.macro_metals);
+        run_flow(self.name(), label, cfg, reuse, |reuse| {
+            Ok((crate::macro3d_flow::implement(tile, cfg, reuse)?, None))
         })
     }
 }

@@ -36,7 +36,7 @@ use macro3d_par::{
 use macro3d_place::{AnalyticalConfig, GlobalPlaceConfig, PlacerBackend};
 use macro3d_route::RouteConfig;
 use macro3d_soc::TileConfig;
-use macro3d_sta::{CtsConfig, PowerReport, StaMode, TimingReport};
+use macro3d_sta::{CtsConfig, PowerReport, TimingReport};
 use std::fmt;
 use std::time::Duration;
 
@@ -238,7 +238,7 @@ fn place_config_from_json(v: &Json) -> Result<GlobalPlaceConfig, CodecError> {
 
 // ---- budget / fault plan / obs ----
 
-fn budget_to_json(b: &FlowBudget) -> Json {
+pub(crate) fn budget_to_json(b: &FlowBudget) -> Json {
     let caps = b
         .caps()
         .iter()
@@ -276,7 +276,7 @@ fn budget_from_json(v: &Json) -> Result<FlowBudget, CodecError> {
     Ok(budget)
 }
 
-fn fault_plan_to_json(plan: &FaultPlan) -> Json {
+pub(crate) fn fault_plan_to_json(plan: &FaultPlan) -> Json {
     Json::Arr(
         plan.faults()
             .iter()
@@ -355,13 +355,6 @@ pub fn flow_config_to_json(cfg: &FlowConfig) -> Json {
         .field("cts", cts_config_to_json(&cfg.cts))
         .field("sizing_rounds", Json::from_usize(cfg.sizing_rounds))
         .field(
-            "sta_mode",
-            Json::str(match cfg.sta_mode {
-                StaMode::Probe => "probe",
-                StaMode::Parametric => "parametric",
-            }),
-        )
-        .field(
             "partial_blockage_period_um",
             Json::from_f64(cfg.partial_blockage_period_um),
         )
@@ -395,11 +388,6 @@ pub fn flow_config_from_json(v: &Json) -> Result<FlowConfig, CodecError> {
         route: route_config_from_json(get(v, "route")?)?,
         cts: cts_config_from_json(get(v, "cts")?)?,
         sizing_rounds: usize_of(v, "sizing_rounds")?,
-        sta_mode: match str_of(v, "sta_mode")? {
-            "probe" => StaMode::Probe,
-            "parametric" => StaMode::Parametric,
-            other => return Err(CodecError::new(format!("unknown sta_mode '{other}'"))),
-        },
         partial_blockage_period_um: f64_of(v, "partial_blockage_period_um")?,
         place: place_config_from_json(get(v, "place")?)?,
         parallelism: parallelism_from_json(get(v, "parallelism")?)?,
@@ -719,7 +707,6 @@ mod tests {
         cfg.route.parallelism = Parallelism::threads(4).with_chunk_size(9);
         cfg.cts.max_fanout = 12;
         cfg.sizing_rounds = 3;
-        cfg.sta_mode = StaMode::Probe;
         cfg.place.backend = PlacerBackend::Analytical;
         cfg.place.analytical.max_iters = 77;
         cfg.obs = ObsConfig::summary();
@@ -785,7 +772,6 @@ mod tests {
             // the canonical emission, which covers every field
             assert_eq!(flow_config_to_json(&back).emit(), text);
             assert_eq!(back.budget, cfg.budget);
-            assert_eq!(back.sta_mode, cfg.sta_mode);
             assert_eq!(back.route.f2f_pitch_um, cfg.route.f2f_pitch_um);
         }
     }

@@ -77,6 +77,5 @@ pub use macro3d_par::{
 };
 pub use macro3d_place::{AnalyticalConfig, GlobalPlaceConfig, PlacerBackend};
 pub use macro3d_route::{RouteConfig, RouteConfigBuilder, RouteConfigError, RouteRequest, Router};
-pub use macro3d_sta::StaMode;
 pub use report::PpaResult;
 pub use stage::{stage_keys, Stage, StageCache, StageKeys, StageReuse};

@@ -23,133 +23,61 @@
 //!    (see [`crate::layout`]); the F2F via layer appears in both.
 
 use crate::build_cache::{cached_combined_beol, try_cached_mol_floorplan};
-use crate::error::{flow_gate, FlowError};
-use crate::flow::{
-    area_budget, finish_design, place_pipeline, sta_constraints, FlowConfig, ImplementedDesign,
-    StageTimer,
-};
-use crate::stage::{FloorplanSnap, PlaceSnap, StageReuse};
-use macro3d_geom::Dbu;
-use macro3d_place::floorplan::die_for_area;
-use macro3d_place::{Floorplan, PortPlan};
+use crate::error::FlowError;
+use crate::flow::{run_direct, AreaBudget, FlowConfig, ImplementedDesign};
+use crate::stage::StageReuse;
+use macro3d_geom::{Dbu, Rect};
+use macro3d_netlist::Design;
+use macro3d_place::Floorplan;
 use macro3d_soc::TileNetlist;
-use macro3d_tech::stack::DieRole;
+use macro3d_tech::stack::{DieRole, MetalStack};
 
-/// Runs the Macro-3D flow and returns the implemented design.
+/// Runs the Macro-3D flow on the direct-flow driver: steps 1–2 are
+/// the floorplan builder, step 3 is the unmodified 2D engine on the
+/// final F2F footprint with macro pins at their true `_MD` layers.
+/// Step 4 (die separation) is available via [`crate::layout`] on the
+/// returned design.
 ///
 /// `cfg.macro_metals` selects the macro-die BEOL depth (6 for the
 /// main results, 4 for Table III's heterogeneous-stack experiment).
 ///
-/// `reuse` carries the worker's stage-artifact cache (see
-/// [`crate::stage`]): when its matched key prefix covers the
-/// floorplan or place boundary, the flow re-enters downstream of it
-/// on a deep clone of the previous run's snapshot.
+/// # Errors
+///
+/// See [`run_direct`].
+pub(crate) fn implement(
+    tile: &TileNetlist,
+    cfg: &FlowConfig,
+    reuse: Option<&mut StageReuse<'_>>,
+) -> Result<ImplementedDesign, FlowError> {
+    run_direct(tile, cfg, 1.0, floorplan, true, reuse)
+}
+
+/// Steps 1–2: the dual floorplans projected into one logic-die
+/// floorplan, with the combined BEOL as the routing stack.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::Floorplan`] if macro packing fails (cannot
 /// happen for the paper's configurations with default utilization
-/// targets) and [`FlowError::Injected`] when the active fault plan
-/// injects an error at a flow gate.
-pub(crate) fn implement(
-    tile: &TileNetlist,
+/// targets).
+fn floorplan(
+    design: &Design,
+    die: Rect,
+    _budget: &AreaBudget,
     cfg: &FlowConfig,
-    mut reuse: Option<&mut StageReuse<'_>>,
-) -> Result<ImplementedDesign, FlowError> {
-    let mut timer = StageTimer::new();
-    let constraints = sta_constraints(tile);
+) -> Result<(Floorplan, MetalStack), FlowError> {
+    let lib = design.library();
+    let halo = Dbu::from_um(cfg.halo_um);
+    // Step 1: dual floorplans (the MoL seed is shared with the S2D
+    // and C2D flows through the build cache).
+    let mol = try_cached_mol_floorplan(design, die, halo, cfg.util_macro, cfg.halo_um)?;
 
-    let (design, fp, ports, stack, placement, tree);
-    if let Some(snap) = reuse.as_deref().and_then(StageReuse::place_snap) {
-        // floorplan + placement reused: restore the post-place state
-        // (design already carries repeaters and clock buffers)
-        design = snap.design.clone();
-        fp = snap.fp.clone();
-        ports = snap.ports.clone();
-        stack = snap.stack.clone();
-        placement = snap.placement.clone();
-        tree = snap.tree.clone();
-        timer.mark("floorplan");
-        timer.mark("place_reused");
-    } else {
-        let mut d = tile.design.clone();
-        let budget = area_budget(&d, cfg);
-        let lib = d.library().clone();
-        let die = die_for_area(budget.a3d_um2, 1.0, lib.row_height(), lib.site_width());
-        let halo = Dbu::from_um(cfg.halo_um);
-
-        let (fp_c, ports_c, stack_c) = match reuse.as_deref().and_then(StageReuse::floorplan_snap) {
-            Some(snap) => (snap.fp.clone(), snap.ports.clone(), snap.stack.clone()),
-            None => {
-                // Step 1: dual floorplans (the MoL seed is shared with
-                // the S2D and C2D flows through the build cache).
-                flow_gate("flow/floorplan")?;
-                let mol = try_cached_mol_floorplan(&d, die, halo, cfg.util_macro, cfg.halo_um)?;
-                let (top_placements, bottom_placements) = (&mol.0, &mol.1);
-
-                // Step 2: projection — macro-die macros add
-                // pins/obstacles but no placement blockage; logic-die
-                // macros block placement as usual.
-                let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
-                for &mp in top_placements {
-                    fp.add_macro(mp, DieRole::Logic, halo);
-                }
-                for &mp in bottom_placements {
-                    fp.add_macro(mp, DieRole::Logic, halo);
-                }
-
-                let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-                let ports = PortPlan::assign(&d, die);
-                let stack = combined.stack().clone();
-                if let Some(r) = reuse.as_deref_mut() {
-                    r.store_floorplan(FloorplanSnap {
-                        fp: fp.clone(),
-                        ports: ports.clone(),
-                        stack: stack.clone(),
-                    });
-                }
-                (fp, ports, stack)
-            }
-        };
-        timer.mark("floorplan");
-
-        // Step 3: unmodified 2D P&R over the combined stack.
-        flow_gate("flow/place")?;
-        let (placement_c, tree_c) =
-            place_pipeline(&mut d, &fp_c, &ports_c, &constraints, cfg, &mut timer);
-        if let Some(r) = reuse.as_deref_mut() {
-            r.store_place(PlaceSnap {
-                design: d.clone(),
-                fp: fp_c.clone(),
-                ports: ports_c.clone(),
-                stack: stack_c.clone(),
-                placement: placement_c.clone(),
-                tree: tree_c.clone(),
-            });
-        }
-        design = d;
-        fp = fp_c;
-        ports = ports_c;
-        stack = stack_c;
-        placement = placement_c;
-        tree = tree_c;
+    // Step 2: projection — macro-die macros add pins/obstacles but no
+    // placement blockage; logic-die macros block placement as usual.
+    let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
+    for &mp in mol.0.iter().chain(&mol.1) {
+        fp.add_macro(mp, DieRole::Logic, halo);
     }
-
-    finish_design(
-        design,
-        placement,
-        ports,
-        fp,
-        stack,
-        cfg.logic_metals,
-        tree,
-        constraints,
-        cfg,
-        true, // macro pins at their true _MD layers
-        cfg.sizing_rounds,
-        timer,
-        reuse,
-    )
-    // Step 4 (die separation) is available via crate::layout on the
-    // returned ImplementedDesign.
+    let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
+    Ok((fp, combined.stack().clone()))
 }

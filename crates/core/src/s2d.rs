@@ -28,24 +28,23 @@
 use crate::build_cache::{cached_combined_beol, cached_stack, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, finish_design, macro_obstacles, route_pins, sta_constraints, FlowConfig,
-    ImplementedDesign, StageTimer,
+    area_budget, extract_all, finish_design, place_pipeline, router_for, signoff_input,
+    sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
 };
+use crate::stage::PlaceSnap;
 use crate::via_plan::plan_bumps;
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_place::floorplan::die_for_area;
 use macro3d_place::macro_place::pack_balanced;
 use macro3d_place::partition::{bipartition, FmConfig, Hypergraph};
-use macro3d_place::{legalize, BlockageKind, Floorplan, Placement, PortPlan};
-use macro3d_route::{RouteRequest, Router};
+use macro3d_place::{legalize, BlockageKind, Floorplan, MacroPlacement, Placement, PortPlan};
 use macro3d_soc::TileNetlist;
-use macro3d_sta::{
-    analyze_with, clock_arrivals, upsize_critical_path, ClockTree, StaInput, StaMode, StaSession,
-};
+use macro3d_sta::opt::apply_sizing_to_parasitics;
+use macro3d_sta::{clock_arrivals, upsize_critical_path, ClockTree, StaConstraints, StaSession};
 use macro3d_tech::libgen::n28_library;
-use macro3d_tech::stack::{n28_stack, DieRole, MetalStack};
-use macro3d_tech::{CellClass, Corner, F2fSpec};
+use macro3d_tech::stack::DieRole;
+use macro3d_tech::{CellLibrary, Corner, F2fSpec};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -70,14 +69,8 @@ pub struct S2dDiagnostics {
     pub planned_bumps: u64,
 }
 
-/// Runs the S2D flow.
-///
-/// `reuse` is forwarded to the shared [`finish_design`] tail. S2D's
-/// stage graph is deliberately coarse (see `crate::stage`): its
-/// pseudo-2D stage consumes the route and STA knobs, so the stage
-/// keys fold them into the place super-stage and prefix reuse only
-/// triggers for fully-identical upstream state — honest, if rarely
-/// profitable, for this baseline.
+/// Runs the S2D flow. Like C2D, it never uses the stage cache (see
+/// [`crate::stage`]).
 ///
 /// # Errors
 ///
@@ -88,7 +81,6 @@ pub(crate) fn implement(
     tile: &TileNetlist,
     cfg: &FlowConfig,
     style: S2dStyle,
-    reuse: Option<&mut crate::stage::StageReuse<'_>>,
 ) -> Result<(ImplementedDesign, S2dDiagnostics), FlowError> {
     let mut timer = StageTimer::new();
     let mut design = tile.design.clone();
@@ -131,114 +123,27 @@ pub(crate) fn implement(
     // 50% cell area via a structurally identical half-size library
     let shrunk_lib = Arc::new(n28_library(orig_lib.area_scale() * 0.5));
     design.set_library(shrunk_lib);
-
-    let mut fp_s2d = Floorplan::new(die, orig_lib.row_height(), orig_lib.site_width());
-    for mp in &macro_placements {
-        // each die's macro discounts half the stacked capacity
-        fp_s2d.add_blockage(mp.rect.inflate(halo), BlockageKind::Partial(0.5));
-        fp_s2d.macros.push(*mp);
-    }
-    fp_s2d.quantize_partial_blockages(Dbu::from_um(cfg.partial_blockage_period_um));
-
+    let fp_s2d = shrunk_stage_floorplan(
+        &orig_lib,
+        die,
+        &macro_placements,
+        halo,
+        Dbu::from_um(cfg.partial_blockage_period_um),
+        1.0,
+    );
     let ports = PortPlan::assign(&design, die);
     timer.mark("floorplan");
     flow_gate("flow/place")?;
-    let (mut placement, tree) =
-        crate::flow::place_pipeline(&mut design, &fp_s2d, &ports, &constraints, cfg, &mut timer);
-
-    // pseudo-2D routing on a single-die stack, macro pins assumed local
-    let stack_2d = cached_stack(cfg.logic_metals, DieRole::Logic);
-    let obstacles = macro_obstacles(
-        &design,
+    let (mut placement, tree) = pseudo2d_stage1(
+        "s2d",
+        &mut design,
         &fp_s2d,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let nets = route_pins(
-        &design,
-        &placement,
         &ports,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let routed_stage1 = Router::new(
-        &RouteRequest {
-            die,
-            stack: &stack_2d,
-            obstacles: &obstacles,
-            nets: &nets,
-            num_nets: design.num_nets(),
-        },
-        &cfg.route,
-    )
-    .route();
-    timer.mark("s2d_stage1_route");
-    let mut parasitics = crate::flow::extract_all(
-        &design,
-        &placement,
-        &ports,
-        &stack_2d,
-        &routed_stage1,
         &constraints,
-        Corner::signoff(),
-        &cfg.parallelism,
+        cfg,
+        None,
+        &mut timer,
     );
-    let clock_stage1 = clock_arrivals(&design, &tree, &parasitics, Corner::signoff());
-    timer.mark("s2d_stage1_extract");
-
-    // sizing against the stage-1 (mispredicted) parasitics; in
-    // parametric mode one StaSession carries the timing graph across
-    // rounds and re-times only the touched cones
-    let mut session = match cfg.sta_mode {
-        StaMode::Parametric => Some(StaSession::new(&StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        })),
-        StaMode::Probe => None,
-    };
-    let mut touched: Vec<macro3d_netlist::NetId> = Vec::new();
-    for round in 0..cfg.sizing_rounds {
-        // budget checkpoint: the stage-1 sizing already holds a valid
-        // (mispredicted-parasitics) design, so stopping early is safe
-        if let macro3d_par::Checkpoint::Stop(reason) = macro3d_par::checkpoint("sta/sizing_rounds")
-        {
-            macro3d_par::note_degradation(
-                "sta/sizing_rounds",
-                reason,
-                format!(
-                    "stopped after {round} of {} sizing rounds",
-                    cfg.sizing_rounds
-                ),
-            );
-            break;
-        }
-        let input = StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        };
-        let t = match &mut session {
-            Some(s) if round > 0 => s.update(&input, &touched, &cfg.parallelism),
-            Some(s) => s.analyze(&input, &cfg.parallelism),
-            None => analyze_with(&input, &cfg.parallelism, StaMode::Probe),
-        };
-        let changes = upsize_critical_path(&mut design, &t);
-        if changes.is_empty() {
-            break;
-        }
-        touched = macro3d_sta::opt::apply_sizing_to_parasitics(&design, &changes, &mut parasitics);
-    }
-
-    timer.mark("s2d_stage1_sizing");
 
     // --- stage 2: unshrink + tier partitioning -------------------------
     design.set_library(orig_lib.clone());
@@ -256,37 +161,114 @@ pub(crate) fn implement(
 
     // --- stage 3: F2F via planning + re-route on the true stack --------
     let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-    let fp_final = final_floorplan(&design, die, &macro_placements, halo, &orig_lib);
-
-    // S2D has no post-partition optimization: sizing_rounds = 0.
-    let imp = finish_design(
+    let placed = PlaceSnap {
         design,
-        placement,
+        fp: final_floorplan(die, &macro_placements, halo, &orig_lib),
         ports,
-        fp_final,
-        combined.stack().clone(),
-        cfg.logic_metals,
+        stack: combined.stack().clone(),
+        placement,
         tree,
-        constraints,
-        cfg,
-        true,
-        0,
-        timer,
-        reuse,
-    )?;
+    };
+    // S2D has no post-partition optimization: sizing_rounds = 0.
+    let imp = finish_design(placed, constraints, cfg, true, 0, timer, None)?;
     Ok((imp, diag))
+}
+
+/// Pseudo-2D stage 1, shared by S2D and C2D: places `design` on the
+/// stage-1 floorplan, routes it on the single-die stack with macro
+/// pins assumed in that same BEOL, extracts (scaling wire R and C per
+/// unit length by `wire_scale` when given — C2D's 1/√2), and runs the
+/// stage-1 sizing loop against those *mispredicted* parasitics.
+/// Returns the placement and clock tree; stage wall-clock lands in
+/// `timer` under `{flow}_stage1_route`, `_extract` and `_sizing`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pseudo2d_stage1(
+    flow: &str,
+    design: &mut Design,
+    fp: &Floorplan,
+    ports: &PortPlan,
+    constraints: &StaConstraints,
+    cfg: &FlowConfig,
+    wire_scale: Option<f64>,
+    timer: &mut StageTimer,
+) -> (Placement, ClockTree) {
+    let (placement, tree) = place_pipeline(design, fp, ports, constraints, cfg, timer);
+    let stack = cached_stack(cfg.logic_metals, DieRole::Logic);
+    let routed = router_for(design, &placement, ports, fp, &stack, cfg, false).route();
+    timer.mark(&format!("{flow}_stage1_route"));
+    let mut parasitics = extract_all(
+        design,
+        &placement,
+        ports,
+        &stack,
+        &routed,
+        constraints,
+        Corner::signoff(),
+        &cfg.parallelism,
+    );
+    if let Some(s) = wire_scale {
+        for p in &mut parasitics {
+            let old_wire = p.wire_cap_ff;
+            p.wire_cap_ff *= s;
+            p.total_res_ohm *= s;
+            for e in &mut p.elmore_ps {
+                *e *= s * s;
+            }
+            p.driver_load_ff -= old_wire - p.wire_cap_ff;
+        }
+    }
+    let clock = clock_arrivals(design, &tree, &parasitics, Corner::signoff());
+    timer.mark(&format!("{flow}_stage1_extract"));
+
+    // one StaSession carries the timing graph across rounds; `update`
+    // analyzes in full on the first round (no converged state yet)
+    // and re-times only the touched cones after that
+    let mut session = StaSession::new(&signoff_input(
+        design,
+        &parasitics,
+        &routed,
+        constraints,
+        &clock,
+    ));
+    let mut touched: Vec<NetId> = Vec::new();
+    for round in 0..cfg.sizing_rounds {
+        // budget checkpoint: the stage-1 sizing already holds a valid
+        // (mispredicted-parasitics) design, so stopping early is safe
+        if let macro3d_par::Checkpoint::Stop(reason) = macro3d_par::checkpoint("sta/sizing_rounds")
+        {
+            macro3d_par::note_degradation(
+                "sta/sizing_rounds",
+                reason,
+                format!(
+                    "stopped after {round} of {} sizing rounds",
+                    cfg.sizing_rounds
+                ),
+            );
+            break;
+        }
+        let t = session.update(
+            &signoff_input(design, &parasitics, &routed, constraints, &clock),
+            &touched,
+            &cfg.parallelism,
+        );
+        let changes = upsize_critical_path(design, &t);
+        if changes.is_empty() {
+            break;
+        }
+        touched = apply_sizing_to_parasitics(design, &changes, &mut parasitics);
+    }
+    timer.mark(&format!("{flow}_stage1_sizing"));
+    (placement, tree)
 }
 
 /// The final per-die floorplan: macros block placement on their own
 /// die only (used for the post-partition legalization and reporting).
-fn final_floorplan(
-    design: &Design,
+pub(crate) fn final_floorplan(
     die: Rect,
-    macro_placements: &[macro3d_place::MacroPlacement],
+    macro_placements: &[MacroPlacement],
     halo: Dbu,
-    lib: &macro3d_tech::CellLibrary,
+    lib: &CellLibrary,
 ) -> Floorplan {
-    let _ = design;
     let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
     for mp in macro_placements {
         fp.add_macro(*mp, DieRole::Logic, halo);
@@ -301,7 +283,7 @@ fn final_floorplan(
 pub(crate) fn partition_and_finalize(
     design: &mut Design,
     placement: &mut Placement,
-    macro_placements: &[macro3d_place::MacroPlacement],
+    macro_placements: &[MacroPlacement],
     die: Rect,
     halo: Dbu,
     tree: &ClockTree,
@@ -464,35 +446,27 @@ pub(crate) fn partition_and_finalize(
     }
 }
 
-/// Exposes the shrunk-stage blockage construction for tests.
+/// The pseudo-2D stage-1 floorplan shared by S2D and C2D: every
+/// macro, scaled about the origin by `scale` (C2D's enlargement; 1
+/// for S2D), becomes a 50 % partial blockage — each die's macro
+/// discounts half the stacked capacity — quantized into stripes of
+/// `period`, as the commercial engines honour partial blockages.
 pub fn shrunk_stage_floorplan(
-    design: &Design,
+    lib: &CellLibrary,
     die: Rect,
-    macro_placements: &[macro3d_place::MacroPlacement],
+    macro_placements: &[MacroPlacement],
     halo: Dbu,
     period: Dbu,
+    scale: f64,
 ) -> Floorplan {
-    let lib = design.library().clone();
     let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
     for mp in macro_placements {
-        fp.add_blockage(mp.rect.inflate(halo), BlockageKind::Partial(0.5));
+        let rect = mp.rect.scale(scale);
+        fp.add_blockage(rect.inflate(halo), BlockageKind::Partial(0.5));
+        fp.macros.push(MacroPlacement { rect, ..*mp });
     }
     fp.quantize_partial_blockages(period);
     fp
-}
-
-/// Returns true when a cell class is a clock buffer (helper for
-/// diagnostics and tests).
-pub fn is_clock_buffer(design: &Design, inst: InstId) -> bool {
-    match design.inst(inst).master {
-        Master::Cell(c) => design.library().cell(c).class == CellClass::ClkBuf,
-        Master::Macro(_) => false,
-    }
-}
-
-/// The 2D stack used by the pseudo-2D stage (exposed for benches).
-pub fn stage1_stack(cfg: &FlowConfig) -> MetalStack {
-    n28_stack(cfg.logic_metals, DieRole::Logic)
 }
 
 #[cfg(test)]
@@ -525,7 +499,14 @@ mod tests {
                 die: DieRole::Macro,
             },
         ];
-        let fp = shrunk_stage_floorplan(&d, die, &placements, Dbu(0), Dbu::from_um(8.0));
+        let fp = shrunk_stage_floorplan(
+            d.library(),
+            die,
+            &placements,
+            Dbu(0),
+            Dbu::from_um(8.0),
+            1.0,
+        );
         // overlapping 50% blockages sum to a full blockage
         let over_macro = fp.usable_area_um2(Rect::from_origin_size(at, size));
         assert!(
@@ -540,29 +521,5 @@ mod tests {
         // away from the macros the die is free
         let free = fp.usable_area_um2(Rect::from_um(600.0, 600.0, 700.0, 700.0));
         assert!((free - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn stage1_stack_matches_logic_metals() {
-        let cfg = FlowConfig {
-            logic_metals: 5,
-            ..FlowConfig::default()
-        };
-        let s = stage1_stack(&cfg);
-        assert_eq!(s.num_layers(), 5);
-        assert!(s.f2f_cut().is_none());
-    }
-
-    #[test]
-    fn clock_buffer_predicate() {
-        let lib = Arc::new(n28_library(1.0));
-        let mut d = Design::new("t", lib.clone());
-        let cb = d.add_cell("cb", lib.clock_buffers()[0]);
-        let inv = d.add_cell(
-            "i",
-            lib.smallest(macro3d_tech::CellClass::Inv).expect("inv"),
-        );
-        assert!(is_clock_buffer(&d, cb));
-        assert!(!is_clock_buffer(&d, inv));
     }
 }

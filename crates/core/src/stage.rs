@@ -26,8 +26,10 @@
 //!
 //! ## Reuse / invalidation tables
 //!
-//! For the fine-grained flows (`2D`, `Macro-3D`), the per-stage key
-//! payloads are:
+//! Only the direct flows (`2D`, `Macro-3D`) use the stage cache. The
+//! direct-flow driver (`flow::run_direct`) and the sign-off tail it
+//! calls (`flow::finish_design`) own every snapshot restore and store.
+//! Their per-stage key payloads are:
 //!
 //! | stage     | key fields |
 //! |-----------|------------|
@@ -35,26 +37,28 @@
 //! | place     | `place` (all fields + chunk size), `cts`, `repeater_max_len_um` |
 //! | route     | `route` (all fields + chunk size) |
 //! | extract   | — (inputs fully determined by the prefix) |
-//! | sta       | `sizing_rounds`, `sta_mode` |
+//! | sta       | `sizing_rounds` |
 //!
-//! ¹ `macro_metals` keys the 2D floorplan stage too only through the
-//! base payload ordering below — the 2D flow never reads it, but the
-//! S2D/C2D/Macro-3D flows that share a worker do.
+//! ¹ `macro_metals` keys the 2D floorplan stage too — the 2D flow
+//! never reads it, but the flows that share a worker do.
 //!
 //! The pseudo-2D baselines (`MoL S2D`, `BF S2D`, `C2D`) consume the
-//! route/STA knobs *inside* their stage-1 pseudo-2D implementation,
-//! so their "place" super-stage keys additionally include `route`,
-//! `sizing_rounds`, `sta_mode` and `partial_blockage_period_um` —
-//! honest but coarse: for those flows, any late-stage knob change
-//! re-enters at placement, and stage reuse degenerates to what the
-//! spec-level `ResultCache` already provides.
+//! route and sizing knobs *inside* their stage-1 pseudo-2D run, so
+//! their place keys additionally include `route`, `sizing_rounds` and
+//! `partial_blockage_period_um`. These flows never read or write the
+//! stage cache (their runs report reuse depth 0): the keys only steer
+//! DSE worker affinity, and identical specs are the `ResultCache`'s
+//! job.
 //!
-//! **Excluded everywhere:** `parallelism.threads` (all three copies)
-//! and `obs`. Results are thread-count-invariant per the `macro3d-par`
-//! contract, so a sweep over `threads` reuses the full prefix;
-//! `chunk_size` *is* keyed because the router's batched negotiation
-//! commits per chunk ("chunk size changes routing results; the thread
-//! count never does").
+//! [`stage_keys`] names every config field with no `..`, so a new
+//! field does not compile until it is assigned to a stage or excluded
+//! with a reason. **Excluded everywhere:** `parallelism.threads` (all
+//! three copies), the top-level `parallelism.chunk_size` and `obs`.
+//! Results are thread-count-invariant per the `macro3d-par` contract,
+//! so a sweep over `threads` reuses the full prefix; the route and
+//! place `chunk_size` *are* keyed because the router's batched
+//! negotiation commits per chunk ("chunk size changes routing results;
+//! the thread count never does").
 //!
 //! **Safety guard:** stage caching is disabled outright
 //! ([`StageReuse::begin`] returns `None`) when the config carries a
@@ -67,10 +71,11 @@
 use crate::flow::FlowConfig;
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::Design;
-use macro3d_place::{Floorplan, GlobalPlaceConfig, Placement, PortPlan};
+use macro3d_par::Parallelism;
+use macro3d_place::{AnalyticalConfig, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RoutedDesign, Router};
 use macro3d_soc::TileConfig;
-use macro3d_sta::{ClockArrivals, ClockTree, StaMode, StaSession};
+use macro3d_sta::{ClockArrivals, ClockTree, CtsConfig, StaSession};
 use macro3d_tech::stack::MetalStack;
 use std::sync::Arc;
 
@@ -142,36 +147,47 @@ fn chain(prev: u64, payload: &str) -> u64 {
     crate::jsonio::fnv1a_64(&buf)
 }
 
-/// `chunk_size` only — `threads` is deliberately excluded from every
-/// stage key (see the module docs).
-fn par_payload(chunk_size: usize) -> String {
-    format!("chunk={chunk_size}")
-}
-
 fn route_payload(r: &RouteConfig) -> String {
+    let RouteConfig {
+        gcell_um,
+        utilization,
+        iterations,
+        via_cost,
+        max_net_degree,
+        f2f_pitch_um,
+        // the router commits per chunk; results never depend on threads
+        parallelism: Parallelism {
+            threads: _,
+            chunk_size,
+        },
+    } = r;
     format!(
-        "gcell={};util={};iters={};via={};deg={};f2f={:?};{}",
-        r.gcell_um,
-        r.utilization,
-        r.iterations,
-        r.via_cost,
-        r.max_net_degree,
-        r.f2f_pitch_um,
-        par_payload(r.parallelism.chunk_size)
+        "gcell={gcell_um};util={utilization};iters={iterations};via={via_cost};\
+         deg={max_net_degree};f2f={f2f_pitch_um:?};chunk={chunk_size}"
     )
 }
 
 fn place_payload(p: &GlobalPlaceConfig) -> String {
+    let GlobalPlaceConfig {
+        min_cells,
+        fm_passes,
+        max_net_degree,
+        // keyed like the router's; results never depend on threads
+        parallelism: Parallelism {
+            threads: _,
+            chunk_size,
+        },
+        backend,
+        analytical:
+            AnalyticalConfig {
+                max_iters,
+                target_overflow,
+                lambda_growth,
+            },
+    } = p;
     format!(
-        "min={};fm={};deg={};backend={:?};ana={},{},{};{}",
-        p.min_cells,
-        p.fm_passes,
-        p.max_net_degree,
-        p.backend,
-        p.analytical.max_iters,
-        p.analytical.target_overflow,
-        p.analytical.lambda_growth,
-        par_payload(p.parallelism.chunk_size)
+        "min={min_cells};fm={fm_passes};deg={max_net_degree};backend={backend:?};\
+         ana={max_iters},{target_overflow},{lambda_growth};chunk={chunk_size}"
     )
 }
 
@@ -179,6 +195,34 @@ fn place_payload(p: &GlobalPlaceConfig) -> String {
 /// tables live here — this is the single place a stage declares what
 /// invalidates it.
 pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys {
+    // every field named, none elided: a new field does not compile
+    // until it feeds a payload or is excluded here with a reason
+    let FlowConfig {
+        logic_metals,
+        macro_metals,
+        util_logic,
+        util_macro,
+        halo_um,
+        repeater_max_len_um,
+        route,
+        cts: CtsConfig {
+            max_fanout,
+            repeater_spacing_um,
+        },
+        sizing_rounds,
+        partial_blockage_period_um,
+        place,
+        // extraction and STA fan-outs land in NetId order at any
+        // thread count and chunk size
+        parallelism: Parallelism {
+            threads: _,
+            chunk_size: _,
+        },
+        // observability never changes results
+        obs: _,
+        budget,
+        fault_plan,
+    } = cfg;
     // Base payload (seeds the floorplan key): anything that
     // invalidates *every* stage — the flow identity, the tile, the
     // crate version, and the budget/fault plan (kept in the key even
@@ -189,55 +233,43 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
         env!("CARGO_PKG_VERSION"),
         flow,
         crate::jsonio::tile_config_to_json(tile).emit(),
-        crate::jsonio::flow_config_to_json(cfg)
-            .get("budget")
-            .map_or_else(String::new, macro3d_json::Json::emit),
-        crate::jsonio::flow_config_to_json(cfg)
-            .get("fault_plan")
-            .map_or_else(String::new, macro3d_json::Json::emit),
+        crate::jsonio::budget_to_json(budget).emit(),
+        fault_plan
+            .as_ref()
+            .map_or(macro3d_json::Json::Null, crate::jsonio::fault_plan_to_json)
+            .emit(),
     );
     let pseudo2d = matches!(flow, "MoL S2D" | "BF S2D" | "C2D");
 
     let floorplan_payload = format!(
-        "lm={};mm={};ul={};um={};halo={}",
-        cfg.logic_metals, cfg.macro_metals, cfg.util_logic, cfg.util_macro, cfg.halo_um
+        "lm={logic_metals};mm={macro_metals};ul={util_logic};um={util_macro};halo={halo_um}"
     );
     let mut place_stage = format!(
-        "{};cts={},{};rep={}",
-        place_payload(&cfg.place),
-        cfg.cts.max_fanout,
-        cfg.cts.repeater_spacing_um,
-        cfg.repeater_max_len_um
+        "{};cts={max_fanout},{repeater_spacing_um};rep={repeater_max_len_um}",
+        place_payload(place)
     );
     if pseudo2d {
         // the pseudo-2D stage consumes these before the final P&R
         place_stage.push_str(&format!(
-            ";s1route={};s1sr={};s1mode={:?};pbp={}",
-            route_payload(&cfg.route),
-            cfg.sizing_rounds,
-            cfg.sta_mode,
-            cfg.partial_blockage_period_um
+            ";s1route={};s1sr={sizing_rounds};pbp={partial_blockage_period_um}",
+            route_payload(route)
         ));
     }
-    let sta_mode = match cfg.sta_mode {
-        StaMode::Probe => "probe",
-        StaMode::Parametric => "parametric",
-    };
 
     let k0 = chain(crate::jsonio::fnv1a_64(base.as_bytes()), &floorplan_payload);
     let k1 = chain(k0, &place_stage);
-    let k2 = chain(k1, &route_payload(&cfg.route));
+    let k2 = chain(k1, &route_payload(route));
     let k3 = chain(k2, "extract");
-    let k4 = chain(k3, &format!("sr={};mode={sta_mode}", cfg.sizing_rounds));
+    let k4 = chain(k3, &format!("sr={sizing_rounds}"));
     StageKeys {
         prefix: [k0, k1, k2, k3, k4],
     }
 }
 
-/// Floorplan-boundary artifacts: everything `place_pipeline` needs
-/// that is not re-derived from the tile. The design itself is *not*
-/// stored — placement mutates it, so a warm run re-clones the
-/// pristine `tile.design` exactly as a cold run does.
+/// Floorplan-boundary artifacts: everything placement needs that is
+/// not re-derived from the tile. The design itself is *not* stored —
+/// placement mutates it, so a warm run re-clones the pristine
+/// `tile.design` exactly as a cold run does.
 #[derive(Clone)]
 pub struct FloorplanSnap {
     /// The floorplan (die, macro placements, blockages).
@@ -251,7 +283,8 @@ pub struct FloorplanSnap {
 /// Place-boundary artifacts: the design *after* repeater/CTS/buffer
 /// insertion together with the legalized placement and clock tree,
 /// plus the floorplan-boundary state (self-contained, so a place hit
-/// never needs the floorplan slot).
+/// never needs the floorplan slot). Every flow hands this state to
+/// the shared sign-off tail (`flow::finish_design`).
 #[derive(Clone)]
 pub struct PlaceSnap {
     /// Design with repeaters and clock buffers inserted.
@@ -279,17 +312,16 @@ pub struct RouteSnap {
     pub routed: RoutedDesign,
 }
 
-/// Extract-boundary artifacts. `session` is the parametric STA
-/// session snapshotted right after graph build (before any analysis),
-/// so restoring it is indistinguishable from building it fresh —
-/// `None` when the cold run used [`StaMode::Probe`].
+/// Extract-boundary artifacts. `session` is the STA session
+/// snapshotted right after graph build (before any analysis), so
+/// restoring it is indistinguishable from building it fresh.
 pub struct ExtractSnap {
     /// Sign-off-corner parasitics for every net.
     pub parasitics: Vec<NetParasitics>,
     /// Clock arrival times under the extracted tree.
     pub clock: ClockArrivals,
     /// Freshly-built timing session (graph only, no converged state).
-    pub session: Option<StaSession>,
+    pub session: StaSession,
 }
 
 enum Artifact {
@@ -449,36 +481,10 @@ impl<'a> StageReuse<'a> {
         );
     }
 
-    /// Stores the extract-boundary snapshot (without a session; see
-    /// [`StageReuse::attach_session`]).
-    pub fn store_extract(&mut self, parasitics: &[NetParasitics], clock: &ClockArrivals) {
-        self.store(
-            Stage::Extract,
-            Artifact::Extract(Arc::new(ExtractSnap {
-                parasitics: parasitics.to_vec(),
-                clock: clock.clone(),
-                session: None,
-            })),
-        );
-    }
-
-    /// Backfills the freshly-built STA session into the extract slot
-    /// (the session only exists once the STA stage begins). No-op if
-    /// the slot was not stored by this run.
-    pub fn attach_session(&mut self, session: &StaSession) {
-        let slot = &mut self.cache.slots[Stage::Extract as usize];
-        if let Some((key, Artifact::Extract(snap))) = slot {
-            if *key == self.keys.prefix[Stage::Extract as usize] {
-                *slot = Some((
-                    *key,
-                    Artifact::Extract(Arc::new(ExtractSnap {
-                        parasitics: snap.parasitics.clone(),
-                        clock: snap.clock.clone(),
-                        session: Some(session.clone()),
-                    })),
-                ));
-            }
-        }
+    /// Stores the extract-boundary snapshot, once the STA session is
+    /// built.
+    pub fn store_extract(&mut self, snap: ExtractSnap) {
+        self.store(Stage::Extract, Artifact::Extract(Arc::new(snap)));
     }
 }
 

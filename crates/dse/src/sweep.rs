@@ -13,7 +13,7 @@
 
 use crate::executor::{DseClient, JobError, JobResult, SubmitError};
 use crate::{flow_by_name, tile_preset, JobSpec};
-use macro3d::{FaultAction, FaultPlan, PlacerBackend, StaMode};
+use macro3d::{FaultAction, FaultPlan, PlacerBackend};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,13 +124,6 @@ pub fn apply_knob(spec: &mut JobSpec, knob: &str, value: &str) -> Result<(), Kno
                 "bisection" => PlacerBackend::Bisection,
                 "analytical" => PlacerBackend::Analytical,
                 _ => return Err(bad(format!("unknown placer '{value}'"))),
-            };
-        }
-        "sta_mode" => {
-            spec.config.sta_mode = match value {
-                "probe" => StaMode::Probe,
-                "parametric" => StaMode::Parametric,
-                _ => return Err(bad(format!("unknown sta_mode '{value}'"))),
             };
         }
         "threads" => {

@@ -155,22 +155,6 @@ impl StaContext {
     }
 }
 
-/// Selects the minimum-period engine of [`analyze_with`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StaMode {
-    /// Legacy probe engine: 32-step binary search over the period
-    /// window, one full arrival propagation per probe (~34 per
-    /// analyze). Kept as the reference the parametric engine is
-    /// equivalence-tested against.
-    Probe,
-    /// Parametric engine: one affine propagation plus a confirmation
-    /// pass, min period in closed form (see [`crate::parametric`]).
-    /// Agrees with [`StaMode::Probe`] to within
-    /// [`crate::parametric::PROBE_RESOLUTION_PS`].
-    #[default]
-    Parametric,
-}
-
 /// Finds the maximum frequency and reports the critical path.
 ///
 /// # Panics
@@ -182,32 +166,31 @@ pub fn analyze(input: &StaInput<'_>) -> TimingReport {
 }
 
 /// [`analyze`] with endpoint folds fanned out over `par` worker
-/// threads, using the default engine ([`StaMode::Parametric`]). The
-/// report is identical to the serial one for any thread count.
+/// threads: the parametric engine, one affine propagation plus a
+/// confirmation pass with the minimum period in closed form (see
+/// [`crate::parametric`]). The report is identical to the serial one
+/// for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if the design has no timing endpoints (no registers, macros
 /// or output ports).
 pub fn analyze_par(input: &StaInput<'_>, par: &Parallelism) -> TimingReport {
-    analyze_with(input, par, StaMode::default())
+    crate::parametric::analyze_parametric(input, par)
 }
 
-/// [`analyze_par`] with an explicit engine selection.
+/// The reference probe engine: a 32-step binary search over the
+/// period window with one full arrival propagation per probe (~34 per
+/// analyze). No flow runs it; it survives as the oracle the
+/// parametric engine ([`analyze_par`]) is equivalence-tested and
+/// benchmarked against, agreeing to within
+/// [`crate::parametric::PROBE_RESOLUTION_PS`].
 ///
 /// # Panics
 ///
 /// Panics if the design has no timing endpoints (no registers, macros
 /// or output ports).
-pub fn analyze_with(input: &StaInput<'_>, par: &Parallelism, mode: StaMode) -> TimingReport {
-    match mode {
-        StaMode::Probe => analyze_probe(input, par),
-        StaMode::Parametric => crate::parametric::analyze_parametric(input, par),
-    }
-}
-
-/// The probe engine behind [`StaMode::Probe`].
-fn analyze_probe(input: &StaInput<'_>, par: &Parallelism) -> TimingReport {
+pub fn analyze_probe(input: &StaInput<'_>, par: &Parallelism) -> TimingReport {
     // binary search the minimum feasible period
     let mut lo = 10.0f64;
     let mut hi = 20.0e6;

@@ -34,7 +34,7 @@ pub mod power;
 pub mod report;
 
 pub use analysis::{
-    analyze, analyze_par, analyze_with, check_hold, HoldReport, StaInput, StaMode, TimingReport,
+    analyze, analyze_par, analyze_probe, check_hold, HoldReport, StaInput, TimingReport,
 };
 pub use constraints::StaConstraints;
 pub use cts::{clock_arrivals, synthesize_clock_tree, ClockArrivals, ClockTree, CtsConfig};

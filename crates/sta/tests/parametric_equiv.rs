@@ -12,8 +12,8 @@ use macro3d_extract::NetParasitics;
 use macro3d_netlist::{Design, NetId, PinRef};
 use macro3d_par::Parallelism;
 use macro3d_sta::{
-    analyze_with, apply_sizing_to_parasitics, upsize_critical_path, ClockArrivals, StaConstraints,
-    StaInput, StaMode, StaSession, PROBE_RESOLUTION_PS,
+    analyze_par, analyze_probe, apply_sizing_to_parasitics, upsize_critical_path, ClockArrivals,
+    StaConstraints, StaInput, StaSession, PROBE_RESOLUTION_PS,
 };
 use macro3d_tech::{libgen::n28_library, CellClass, Corner, PinDir};
 use proptest::prelude::*;
@@ -168,8 +168,8 @@ proptest! {
         let (d, p, c) = rand_design(n_ffs, n_gates, half_cycle, seed);
         let clock = ClockArrivals::ideal(&d);
         let par = Parallelism::serial();
-        let probe = analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Probe);
-        let param = analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
+        let probe = analyze_probe(&input(&d, &p, &c, &clock), &par);
+        let param = analyze_par(&input(&d, &p, &c, &clock), &par);
         prop_assert!(
             (probe.min_period_ps - param.min_period_ps).abs() <= 2.0 * PROBE_RESOLUTION_PS,
             "probe {} vs parametric {} (diff {})",
@@ -204,7 +204,7 @@ proptest! {
             let touched = apply_sizing_to_parasitics(&d, &changes, &mut p);
             prop_assert!(!touched.is_empty());
             timing = session.update(&input(&d, &p, &c, &clock), &touched, &par);
-            let cold = analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
+            let cold = analyze_par(&input(&d, &p, &c, &clock), &par);
             prop_assert!(
                 (timing.min_period_ps - cold.min_period_ps).abs() <= 1e-6,
                 "incremental {} vs cold {}",
@@ -225,14 +225,10 @@ proptest! {
     ) {
         let (d, p, c) = rand_design(n_ffs, n_gates, half_cycle, seed);
         let clock = ClockArrivals::ideal(&d);
-        let serial = analyze_with(
-            &input(&d, &p, &c, &clock),
-            &Parallelism::serial(),
-            StaMode::Parametric,
-        );
+        let serial = analyze_par(&input(&d, &p, &c, &clock), &Parallelism::serial());
         for threads in [2usize, 4] {
             let par = Parallelism::threads(threads).with_chunk_size(1);
-            let t = analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
+            let t = analyze_par(&input(&d, &p, &c, &clock), &par);
             prop_assert_eq!(serial.min_period_ps.to_bits(), t.min_period_ps.to_bits());
             prop_assert_eq!(&serial.crit_path_nets, &t.crit_path_nets);
         }

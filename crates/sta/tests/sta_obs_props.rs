@@ -12,8 +12,8 @@ use macro3d_netlist::{Design, PinRef};
 use macro3d_obs::{ObsConfig, Session};
 use macro3d_par::Parallelism;
 use macro3d_sta::{
-    analyze_with, apply_sizing_to_parasitics, upsize_critical_path, ClockArrivals, StaConstraints,
-    StaInput, StaMode, StaSession,
+    analyze_par, analyze_probe, apply_sizing_to_parasitics, upsize_critical_path, ClockArrivals,
+    StaConstraints, StaInput, StaSession,
 };
 use macro3d_tech::{libgen::n28_library, CellClass, Corner, PinDir};
 use std::sync::Arc;
@@ -106,7 +106,7 @@ fn parametric_analyze_stays_within_propagation_budget() {
     let (d, p, c) = design(false);
     let clock = ClockArrivals::ideal(&d);
     let before = propagations.get();
-    analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
+    analyze_par(&input(&d, &p, &c, &clock), &par);
     let unmixed = propagations.get() - before;
     assert_eq!(unmixed, 1, "unmixed design should need exactly 1 pass");
 
@@ -115,7 +115,7 @@ fn parametric_analyze_stays_within_propagation_budget() {
     let (d, p, c) = design(true);
     let clock = ClockArrivals::ideal(&d);
     let before = propagations.get();
-    analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
+    analyze_par(&input(&d, &p, &c, &clock), &par);
     let mixed = propagations.get() - before;
     assert!(
         (1..=3).contains(&mixed),
@@ -125,7 +125,7 @@ fn parametric_analyze_stays_within_propagation_budget() {
     // the legacy probe path really is what we are saving: one analyze
     // burns a propagation per bisection probe
     let before = propagations.get();
-    analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Probe);
+    analyze_probe(&input(&d, &p, &c, &clock), &par);
     let probe = propagations.get() - before;
     assert!(probe > 30, "probe mode ran only {probe} propagations?");
 

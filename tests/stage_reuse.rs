@@ -201,7 +201,8 @@ fn random_knob_grids_are_reuse_invariant() {
     let mut state = 0xc0ffee_u64;
     for flow in ["Macro-3D", "2D"] {
         // a small random grid biased toward shared prefixes: one
-        // early-stage knob (util_logic), two late-stage knobs
+        // early-stage knob (util_logic), two late-stage knobs (one
+        // re-enters at route, one at STA)
         let r = splitmix64(&mut state);
         let util = ["0.55", "0.6"][(r & 1) as usize];
         let rounds: Vec<&str> = match (r >> 1) & 1 {
@@ -215,7 +216,7 @@ fn random_knob_grids_are_reuse_invariant() {
             base,
             axes: vec![
                 SweepAxis::new("sizing_rounds", &rounds),
-                SweepAxis::new("sta_mode", &["probe", "parametric"]),
+                SweepAxis::new("route_iterations", &["1", "2"]),
             ],
         };
         let (warm, hits) = run_fresh(&sweep, 1, true);
@@ -226,5 +227,31 @@ fn random_knob_grids_are_reuse_invariant() {
             fingerprints(&cold),
             "{flow}: warm grid diverged from scratch run"
         );
+    }
+}
+
+/// Pseudo-2D flows never touch the stage cache. On one worker, a
+/// Macro-3D job that follows an S2D or C2D job still finds the
+/// route/extract slots its Macro-3D predecessor stored, so a
+/// sizing-only change re-enters at STA.
+#[test]
+fn pseudo2d_jobs_never_evict_the_direct_flow_prefix() {
+    for flow in ["MoL S2D", "BF S2D", "C2D"] {
+        let service = service(1, true);
+        let client = service.client();
+        let run = |spec: JobSpec| client.wait(client.submit(spec).unwrap()).unwrap();
+
+        let mut first = fast_spec();
+        first.config.sizing_rounds = 0;
+        assert_eq!(run(first).reuse_depth, 0, "cold worker");
+        let mut pseudo2d = fast_spec();
+        pseudo2d.flow = flow.to_string();
+        assert_eq!(run(pseudo2d).reuse_depth, 0, "{flow} never reuses");
+        let last = run(fast_spec());
+        assert_eq!(
+            last.reuse_depth, 4,
+            "{flow} between two Macro-3D jobs evicted their shared prefix"
+        );
+        service.shutdown();
     }
 }
