@@ -10,6 +10,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench fmt + clippy (a separate workspace; the steps above never see it)"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -4,7 +4,7 @@
 
 use crate::error::{flow_gate, FlowError};
 use crate::stage::{ExtractSnap, FloorplanSnap, PlaceSnap, StageReuse};
-use macro3d_extract::{extract_net, NetParasitics};
+use macro3d_extract::{estimate_net, extract_net, NetParasitics};
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_par::{
@@ -15,9 +15,9 @@ use macro3d_place::{global_place, legalize, Floorplan, GlobalPlaceConfig, Placem
 use macro3d_route::{RouteConfig, RouteRequest, RoutedDesign, Router};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
-    analyze_power, check_hold, clock_arrivals, insert_repeaters, synthesize_clock_tree,
-    upsize_critical_path, ClockArrivals, ClockTree, CtsConfig, HoldReport, PowerInput, PowerReport,
-    StaConstraints, StaInput, StaSession, TimingReport,
+    analyze_power, clock_arrivals, insert_repeaters, synthesize_clock_tree, upsize_critical_path,
+    ClockArrivals, ClockTree, CtsConfig, HoldReport, PowerInput, PowerReport, StaConstraints,
+    StaInput, StaSession, TimingReport,
 };
 use macro3d_tech::stack::{DieRole, MetalStack};
 use macro3d_tech::Corner;
@@ -257,7 +257,11 @@ pub struct ImplementedDesign {
     pub stack: MetalStack,
     /// Routing result.
     pub routed: RoutedDesign,
-    /// Extracted parasitics per net.
+    /// The sign-off (SS) parasitics per net that `timing` was computed
+    /// from: extracted after routing, with the driver loads sizing
+    /// edited in place. Nets added by hold fixing are unrouted and
+    /// carry empty parasitics ([`ImplementedDesign::power_at`]
+    /// estimates their wire capacitance).
     pub parasitics: Vec<NetParasitics>,
     /// The synthesized clock tree.
     pub clock_tree: ClockTree,
@@ -269,7 +273,8 @@ pub struct ImplementedDesign {
     pub timing: TimingReport,
     /// Hold check (FF corner).
     pub hold: HoldReport,
-    /// Power at max frequency (TT).
+    /// Power at max frequency (TT), from
+    /// [`ImplementedDesign::power_at`].
     pub power: PowerReport,
     /// Number of logic-die metal layers in `stack` (layers at or
     /// above this index belong to the macro die).
@@ -279,18 +284,59 @@ pub struct ImplementedDesign {
 }
 
 impl ImplementedDesign {
-    /// Re-runs power analysis at an arbitrary frequency (the paper's
+    /// Power analysis at the TT corner and an arbitrary frequency (the
+    /// flow reports it at `timing.fclk_mhz`; the paper's
     /// iso-performance comparison re-implements at 328 MHz).
+    ///
+    /// Wire capacitance per net is what a power-corner extraction of
+    /// the final layout would report, without a second RC-tree pass:
+    ///
+    /// * a routed net with a driver takes the sign-off
+    ///   [`parasitics`](Self::parasitics)' `wire_cap_ff`. An RC tree
+    ///   sums its segment and via capacitance from the route alone,
+    ///   before any pin cap, and no corner derates capacitance, so the
+    ///   value is the same at every corner. The reuse relies on sizing
+    ///   editing only `driver_load_ff` (see
+    ///   [`macro3d_sta::apply_sizing_to_parasitics`]);
+    /// * an unrouted driven net is estimated from its pins' final
+    ///   positions, which resizing, ECO legalization and hold chains
+    ///   may have moved since sign-off extraction;
+    /// * a net with no driver has none.
     pub fn power_at(&self, freq_mhz: f64, toggle: f64) -> PowerReport {
         let clock_nets: HashSet<NetId> = self.clock_tree.nets.iter().copied().collect();
         analyze_power(&PowerInput {
             design: &self.design,
-            parasitics: &self.parasitics,
+            wire_cap_ff: &self.wire_caps_ff(),
             clock_nets: &clock_nets,
             freq_mhz,
             toggle,
             corner: Corner::power_report(),
         })
+    }
+
+    /// Wire capacitance per net, fF, indexed by `NetId`, as
+    /// [`ImplementedDesign::power_at`] takes it.
+    pub(crate) fn wire_caps_ff(&self) -> Vec<f64> {
+        let design = &self.design;
+        design
+            .net_ids()
+            .map(|n| match (design.driver(n), self.routed.net(n)) {
+                (None, _) => 0.0,
+                (Some(_), Some(_)) => self.parasitics[n.index()].wire_cap_ff,
+                (Some(driver), None) => {
+                    let (drv_pos, sinks) = net_terminals(
+                        design,
+                        &self.placement,
+                        &self.ports,
+                        &self.constraints,
+                        n,
+                        driver,
+                    );
+                    estimate_net(&self.stack, drv_pos, &sinks, 1.0, Corner::power_report())
+                        .wire_cap_ff
+                }
+            })
+            .collect()
     }
 }
 
@@ -469,23 +515,38 @@ pub fn extract_all(
         let Some(driver) = design.driver(n) else {
             return NetParasitics::default();
         };
-        let drv_pos = macro3d_place::pin_position(design, placement, ports, driver);
-        let sinks: Vec<(Point, f64)> = design
-            .sinks(n)
-            .map(|s| {
-                let pos = macro3d_place::pin_position(design, placement, ports, s);
-                let cap = match s {
-                    PinRef::Port(_) => constraints.port_load_ff,
-                    _ => design.pin_cap(s),
-                };
-                (pos, cap)
-            })
-            .collect();
+        let (drv_pos, sinks) = net_terminals(design, placement, ports, constraints, n, driver);
         match routed.net(n) {
             Some(r) => extract_net(stack, r, drv_pos, &sinks, corner),
-            None => macro3d_extract::estimate_net(stack, drv_pos, &sinks, 1.0, corner),
+            None => estimate_net(stack, drv_pos, &sinks, 1.0, corner),
         }
     })
+}
+
+/// The extraction view of net `n` driven by `driver`: the driver's
+/// position and each sink's `(position, pin cap)` in
+/// `design.sinks(n)` order, output ports carrying the constraint load.
+fn net_terminals(
+    design: &Design,
+    placement: &Placement,
+    ports: &PortPlan,
+    constraints: &StaConstraints,
+    n: NetId,
+    driver: PinRef,
+) -> (Point, Vec<(Point, f64)>) {
+    let drv_pos = macro3d_place::pin_position(design, placement, ports, driver);
+    let sinks = design
+        .sinks(n)
+        .map(|s| {
+            let pos = macro3d_place::pin_position(design, placement, ports, s);
+            let cap = match s {
+                PinRef::Port(_) => constraints.port_load_ff,
+                _ => design.pin_cap(s),
+            };
+            (pos, cap)
+        })
+        .collect();
+    (drv_pos, sinks)
 }
 
 /// Wall-clock per flow stage, in the order the stages ran.
@@ -854,7 +915,7 @@ pub(crate) fn finish_design(
     timer.mark("route");
     flow_gate("flow/extract")?;
     let restored = reuse.as_deref().and_then(StageReuse::extract_snap);
-    let (mut parasitics, clock) = match &restored {
+    let (mut parasitics, mut clock) = match &restored {
         Some(snap) => (snap.parasitics.clone(), snap.clock.clone()),
         None => {
             let parasitics = extract_all(
@@ -953,92 +1014,103 @@ pub(crate) fn finish_design(
     }
     timer.mark("sta+sizing");
 
-    let mut hold = check_hold(&StaInput {
-        design: &design,
-        parasitics: &parasitics,
-        routed: Some(&routed),
-        constraints: &constraints,
-        clock: &clock,
-        corner: macro3d_tech::Corner::Ff,
-    });
-    let mut clock = clock;
-    if hold.violations > 0 {
-        // standard post-CTS hold fixing: delay chains at violating
-        // register inputs, then re-check both hold and setup
-        let inserted = macro3d_sta::opt::fix_hold(&mut design, &mut placement, &hold, 10_000);
-        if !inserted.is_empty() {
-            clock.arrival_ps.resize(design.num_insts(), 0.0);
-            parasitics.resize(design.num_nets(), NetParasitics::default());
-            // ECO-place the delay chains around their registers
-            let inserted_set: HashSet<InstId> = inserted.iter().copied().collect();
-            let others: Vec<InstId> = design
-                .inst_ids()
-                .filter(|i| !design.is_macro(*i) && !inserted_set.contains(i))
-                .collect();
-            macro3d_place::legalize::legalize_incremental(
-                &design,
-                &fp,
-                &mut placement,
-                &inserted,
-                &others,
-            );
-            hold = check_hold(&StaInput {
-                design: &design,
-                parasitics: &parasitics,
-                routed: Some(&routed),
-                constraints: &constraints,
-                clock: &clock,
-                corner: macro3d_tech::Corner::Ff,
-            });
-            // hold fixing added instances and nets: the session
-            // notices the structural change and rebuilds its timing
-            // graph before re-solving
-            timing = session.analyze(
-                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                &par,
-            );
-        }
-    }
-
-    // power at max frequency, TT corner
-    let tt_parasitics = extract_all(
+    // hold runs on the session's timing graph; fixing it adds chain
+    // instances and nets, so the re-check rebuilds the graph once and
+    // the setup re-analysis reuses the rebuild
+    let mut hold = session.check_hold(&hold_input(
         &design,
-        &placement,
-        &ports,
-        &stack,
+        &parasitics,
         &routed,
         &constraints,
-        Corner::power_report(),
-        &par,
-    );
-    let clock_nets: HashSet<NetId> = clock_tree.nets.iter().copied().collect();
-    let power = analyze_power(&PowerInput {
-        design: &design,
-        parasitics: &tt_parasitics,
-        clock_nets: &clock_nets,
-        freq_mhz: timing.fclk_mhz,
-        toggle: constraints.toggle_rate,
-        corner: Corner::power_report(),
-    });
+        &clock,
+    ));
+    if hold.violations > 0
+        && fix_hold_eco(
+            &mut design,
+            &mut placement,
+            &fp,
+            &hold,
+            &mut clock,
+            &mut parasitics,
+        )
+    {
+        hold = session.check_hold(&hold_input(
+            &design,
+            &parasitics,
+            &routed,
+            &constraints,
+            &clock,
+        ));
+        timing = session.analyze(
+            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+            &par,
+        );
+    }
 
-    timer.mark("hold+power");
-    Ok(ImplementedDesign {
+    let mut imp = ImplementedDesign {
         design,
         placement,
         ports,
         fp,
         stack,
         routed,
-        parasitics: tt_parasitics,
+        parasitics,
         clock_tree,
         clock,
         constraints,
         timing,
         hold,
-        power,
+        power: PowerReport::default(),
         logic_metals: cfg.logic_metals,
-        stage_times: timer.into_times(),
-    })
+        stage_times: StageTimes::default(),
+    };
+    // power at max frequency, TT corner, on the sign-off wire caps
+    imp.power = imp.power_at(imp.timing.fclk_mhz, imp.constraints.toggle_rate);
+    timer.mark("hold+power");
+    imp.stage_times = timer.into_times();
+    Ok(imp)
+}
+
+/// Hold-check [`StaInput`] (the check itself runs at the FF corner).
+fn hold_input<'a>(
+    design: &'a Design,
+    parasitics: &'a [NetParasitics],
+    routed: &'a RoutedDesign,
+    constraints: &'a StaConstraints,
+    clock: &'a ClockArrivals,
+) -> StaInput<'a> {
+    StaInput {
+        corner: Corner::Ff,
+        ..signoff_input(design, parasitics, routed, constraints, clock)
+    }
+}
+
+/// Standard post-CTS hold fixing: splices delay chains in front of the
+/// violating register inputs of `hold`, ECO-places them around their
+/// registers, and grows `clock` and `parasitics` to the new instance
+/// and net counts (the unrouted chain nets get empty parasitics).
+/// Returns whether any chain was inserted.
+pub(crate) fn fix_hold_eco(
+    design: &mut Design,
+    placement: &mut Placement,
+    fp: &Floorplan,
+    hold: &HoldReport,
+    clock: &mut ClockArrivals,
+    parasitics: &mut Vec<NetParasitics>,
+) -> bool {
+    let inserted = macro3d_sta::opt::fix_hold(design, placement, hold, 10_000);
+    if inserted.is_empty() {
+        return false;
+    }
+    clock.arrival_ps.resize(design.num_insts(), 0.0);
+    parasitics.resize(design.num_nets(), NetParasitics::default());
+    let inserted_set: HashSet<InstId> = inserted.iter().copied().collect();
+    let others: Vec<InstId> = design
+        .inst_ids()
+        .filter(|i| !design.is_macro(*i) && !inserted_set.contains(i))
+        .collect();
+    macro3d_place::legalize::legalize_incremental(design, fp, placement, &inserted, &others);
+    true
 }
 
 /// Total standard-cell area of a design, mm².
@@ -1152,6 +1224,88 @@ mod tests {
             "{}",
             b.a3d_um2 / 1e6
         );
+    }
+
+    /// The hold-fix path, forced: no measured run violates hold, so a
+    /// synthetic report splices chains in front of register D pins of
+    /// an implemented `mini` design and ECO-places them. Power's wire
+    /// caps must then equal a full power-corner extraction of the
+    /// final layout bit for bit — on the new chain nets, the rewired
+    /// D nets and every net the sizing ECO moved.
+    #[test]
+    fn forced_hold_fix_wire_caps_match_a_power_corner_extraction() {
+        use crate::flows::{Flow, Flow2d, Macro3d};
+        let tile = generate_tile(&TileConfig::mini());
+        let mut cfg = FlowConfig::builder()
+            .sizing_rounds(2)
+            .build()
+            .expect("valid config");
+        cfg.route.iterations = 2;
+        for flow in [&Flow2d as &dyn Flow, &Macro3d] {
+            let mut imp = flow.try_run(&tile, &cfg).expect("flow runs").implemented;
+            let d = &imp.design;
+            // registers with a connected D pin
+            let mut regs: Vec<(InstId, u16, NetId)> = d
+                .inst_ids()
+                .filter_map(|i| {
+                    let Master::Cell(c) = d.inst(i).master else {
+                        return None;
+                    };
+                    let cell = d.library().cell(c);
+                    let pin = cell
+                        .data_input_pins()
+                        .next()
+                        .filter(|_| cell.is_sequential())?;
+                    Some((i, pin as u16, d.inst(i).conns[pin]?))
+                })
+                .collect();
+            regs.truncate(12);
+            let hold = HoldReport {
+                worst_slack_ps: -150.0,
+                violations: regs.len(),
+                endpoints: regs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(i, pin, _))| (i, pin, 20.0 + 10.0 * k as f64))
+                    .collect(),
+            };
+            let (nets, insts) = (imp.design.num_nets(), imp.design.num_insts());
+            assert!(fix_hold_eco(
+                &mut imp.design,
+                &mut imp.placement,
+                &imp.fp,
+                &hold,
+                &mut imp.clock,
+                &mut imp.parasitics,
+            ));
+            assert!(imp.design.num_nets() > nets && imp.design.num_insts() > insts);
+            assert_eq!(imp.parasitics.len(), imp.design.num_nets());
+            assert_eq!(imp.clock.arrival_ps.len(), imp.design.num_insts());
+            // every picked D pin now hangs off its chain; the D nets keep
+            // their routes (and so their sign-off wire caps)
+            assert!(regs.iter().all(|&(i, pin, n)| {
+                imp.design.inst(i).conns[pin as usize] != Some(n) && imp.routed.net(n).is_some()
+            }));
+
+            let power_corner = extract_all(
+                &imp.design,
+                &imp.placement,
+                &imp.ports,
+                &imp.stack,
+                &imp.routed,
+                &imp.constraints,
+                Corner::power_report(),
+                &cfg.parallelism,
+            );
+            let want: Vec<u64> = power_corner
+                .iter()
+                .map(|p| p.wire_cap_ff.to_bits())
+                .collect();
+            let got: Vec<u64> = imp.wire_caps_ff().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(got, want, "{}", flow.name());
+            // the chain nets are real wires, not the empty sign-off rows
+            assert!(got[nets..].iter().any(|&c| f64::from_bits(c) > 0.0));
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Tetris-style row legalization.
+//! Row legalization: Tetris-style first-fit, Abacus cluster collapse
+//! and ECO legalization around fixed cells, all over per-row free
+//! intervals built in one bucketed pass over the blockages.
 
 use crate::floorplan::{BlockageKind, Floorplan};
 use crate::placement::Placement;
-use macro3d_geom::{Dbu, Interval, Point};
+use macro3d_geom::{Dbu, Interval, Point, Rect};
 use macro3d_netlist::{Design, InstId};
 
 /// Result of a legalization run.
@@ -101,10 +103,9 @@ pub fn legalize(
 ) -> LegalizeReport {
     let num_rows = fp.num_rows();
     let site = fp.site_width();
-    let mut rows: Vec<RowSpace> = (0..num_rows)
-        .map(|r| RowSpace {
-            free: build_row_segments(fp, r),
-        })
+    let mut rows: Vec<RowSpace> = row_segments(fp)
+        .into_iter()
+        .map(|free| RowSpace { free })
         .collect();
     // widest remaining free span per row: lets the scan skip full rows
     // in O(1), which keeps overfull-die legalization (the S2D overlap
@@ -311,10 +312,10 @@ pub fn legalize_abacus(
     let site = fp.site_width();
     let row_h = fp.row_height();
     let die = fp.die();
-    let mut rows: Vec<Vec<Segment>> = (0..num_rows)
-        .map(|r| {
-            build_row_segments(fp, r)
-                .into_iter()
+    let mut rows: Vec<Vec<Segment>> = row_segments(fp)
+        .into_iter()
+        .map(|free| {
+            free.into_iter()
                 .map(|span| Segment {
                     // align the left edge once: cell widths are site
                     // multiples, so every abutted cell stays on-site
@@ -436,17 +437,51 @@ pub fn legalize_incremental(
     legalize(design, &fp2, placement, movable)
 }
 
-/// Free intervals of row `r`: the row minus all full blockages.
-fn build_row_segments(fp: &Floorplan, r: usize) -> Vec<Interval> {
-    let row = fp.row_rect(r);
-    let mut cuts: Vec<Interval> = fp
-        .blockages
-        .iter()
-        .filter(|b| matches!(b.kind, BlockageKind::Full))
-        .filter(|b| b.rect.overlaps(row))
-        .map(|b| Interval::new(b.rect.lo.x.max(row.lo.x), b.rect.hi.x.min(row.hi.x)))
-        .collect();
-    cuts.sort();
+/// Free intervals of every row: each row minus the full blockages
+/// overlapping it.
+///
+/// One pass over the blockages pushes each full blockage into the rows
+/// its y-span can touch (the exact [`macro3d_geom::Rect::overlaps`]
+/// test then decides), so a blockage costs the rows it spans instead
+/// of every row scanning every blockage — ECO legalization turns every
+/// placed cell into a one-row blockage. Each row's cuts are sorted
+/// before the free intervals are read off, so the result is
+/// independent of blockage order.
+fn row_segments(fp: &Floorplan) -> Vec<Vec<Interval>> {
+    let num_rows = fp.num_rows();
+    let (y0, row_h) = (fp.die().lo.y, fp.row_height().0);
+    let row_of = |y: Dbu| (y - y0).0.div_euclid(row_h).clamp(0, num_rows as i64) as usize;
+    let mut cuts: Vec<Vec<Interval>> = vec![Vec::new(); num_rows];
+    for b in &fp.blockages {
+        if !matches!(b.kind, BlockageKind::Full) {
+            continue;
+        }
+        // rows from the one holding the bottom edge to the one holding
+        // the top edge; the top one only overlaps if the edge is inside
+        let (first, last) = (row_of(b.rect.lo.y), row_of(b.rect.hi.y));
+        for (r, row_cuts) in cuts.iter_mut().enumerate().take(last + 1).skip(first) {
+            let row = fp.row_rect(r);
+            if b.rect.overlaps(row) {
+                row_cuts.push(row_cut(b.rect, row));
+            }
+        }
+    }
+    cuts.into_iter()
+        .enumerate()
+        .map(|(r, mut row_cuts)| {
+            row_cuts.sort();
+            free_intervals(fp.row_rect(r), &row_cuts)
+        })
+        .collect()
+}
+
+/// The x-span a blockage overlapping `row` removes from it.
+fn row_cut(blockage: Rect, row: Rect) -> Interval {
+    Interval::new(blockage.lo.x.max(row.lo.x), blockage.hi.x.min(row.hi.x))
+}
+
+/// `row`'s x-span minus `cuts` (sorted by `(lo, hi)`).
+fn free_intervals(row: Rect, cuts: &[Interval]) -> Vec<Interval> {
     let mut free = Vec::new();
     let mut x = row.lo.x;
     for c in cuts {
@@ -459,6 +494,22 @@ fn build_row_segments(fp: &Floorplan, r: usize) -> Vec<Interval> {
         free.push(Interval::new(x, row.hi.x));
     }
     free
+}
+
+/// Free intervals of row `r` by a scan of every blockage: the
+/// reference [`row_segments`] is tested against.
+#[cfg(test)]
+fn build_row_segments(fp: &Floorplan, r: usize) -> Vec<Interval> {
+    let row = fp.row_rect(r);
+    let mut cuts: Vec<Interval> = fp
+        .blockages
+        .iter()
+        .filter(|b| matches!(b.kind, BlockageKind::Full))
+        .filter(|b| b.rect.overlaps(row))
+        .map(|b| row_cut(b.rect, row))
+        .collect();
+    cuts.sort();
+    free_intervals(row, &cuts)
 }
 
 #[cfg(test)]
@@ -649,6 +700,51 @@ mod tests {
             ra.total_disp,
             rt.total_disp
         );
+    }
+
+    #[test]
+    fn bucketed_row_cuts_match_per_row_scan() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(21);
+        for _ in 0..300 {
+            let row_h = rng.gen_range(4i64..30);
+            let (x0, y0) = (rng.gen_range(-300i64..300), rng.gen_range(-300i64..300));
+            // heights that are not a row multiple leave a partial top row
+            let (w, h) = (rng.gen_range(20i64..400), rng.gen_range(row_h..20 * row_h));
+            let die = Rect::new(
+                Point::new(Dbu(x0), Dbu(y0)),
+                Point::new(Dbu(x0 + w), Dbu(y0 + h)),
+            );
+            let mut f = Floorplan::new(die, Dbu(row_h), Dbu(rng.gen_range(1i64..4)));
+            // y on an exact row boundary, or anywhere from well below to
+            // well above the die
+            let edge_y = |rng: &mut rand::rngs::SmallRng| {
+                Dbu(if rng.gen_bool(0.4) {
+                    y0 + row_h * rng.gen_range(-2i64..=h / row_h + 2)
+                } else {
+                    rng.gen_range(y0 - 3 * row_h..y0 + h + 3 * row_h)
+                })
+            };
+            for _ in 0..rng.gen_range(0usize..80) {
+                let (ya, yb) = (edge_y(&mut rng), edge_y(&mut rng));
+                // zero-height blockages (on a boundary or mid-row) too
+                let yb = if rng.gen_bool(0.15) { ya } else { yb };
+                let xa = rng.gen_range(x0 - 50..x0 + w + 50);
+                let xb = rng.gen_range(x0 - 50..x0 + w + 50);
+                let kind = if rng.gen_bool(0.2) {
+                    BlockageKind::Partial(0.5)
+                } else {
+                    BlockageKind::Full
+                };
+                f.add_blockage(
+                    Rect::new(Point::new(Dbu(xa), ya), Point::new(Dbu(xb), yb)),
+                    kind,
+                );
+            }
+            let per_row: Vec<Vec<Interval>> = (0..f.num_rows())
+                .map(|r| build_row_segments(&f, r))
+                .collect();
+            assert_eq!(row_segments(&f), per_row);
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::constraints::StaConstraints;
 use crate::cts::ClockArrivals;
 use crate::dcalc::{cell_arc_delay, wire_slew};
+use crate::graph::{EndpointKind, TimingGraph};
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::traverse::{is_timing_endpoint, topo_order};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
@@ -252,13 +253,123 @@ pub struct HoldReport {
     pub endpoints: Vec<(macro3d_netlist::InstId, u16, f64)>,
 }
 
+/// Guaranteed input-hold margin after the virtual clock, ps: the
+/// upstream tile has the same insertion delay and registered outputs,
+/// so its outputs cannot change before clk->q.
+const INPUT_MIN_DELAY_PS: f64 = 25.0;
+
 /// Hold analysis at the fast corner: earliest arrivals against the
 /// hold requirement at every register data pin. Period-independent.
 ///
 /// Clock skew is the aggressor here: a capture register whose clock
 /// arrives later than the launching register's needs that much more
 /// data-path delay.
+///
+/// One-shot wrapper that builds a throwaway timing graph; a flow that
+/// already holds a [`crate::StaSession`] calls
+/// [`crate::StaSession::check_hold`] and reuses the session's graph.
 pub fn check_hold(input: &StaInput<'_>) -> HoldReport {
+    crate::parametric::StaSession::new(input).check_hold(input)
+}
+
+/// The hold min-propagation over a flattened timing graph built from
+/// `input.design` (in-place resizing since the build is fine; masters
+/// are re-read here). Launches are input ports — the port-driven clock
+/// net included — at the virtual clock plus [`INPUT_MIN_DELAY_PS`],
+/// flip-flop Q pins at min clk->q and macro outputs at access; arrivals
+/// take the shortest arc through the nodes in topological order (zero
+/// wire delay: the Elmore floor to the nearest sink is conservatively
+/// taken as 0); checks run at flip-flop data pins only.
+pub(crate) fn hold_on_graph(input: &StaInput<'_>, graph: &TimingGraph) -> HoldReport {
+    let design = input.design;
+    let lib = design.library();
+    let corner = Corner::Ff;
+    let load_of = |net: NetId| -> f64 {
+        input
+            .parasitics
+            .get(net.index())
+            .map(|p| p.driver_load_ff)
+            .unwrap_or(1.0)
+    };
+    let lower = |slot: &mut f64, arr: f64| {
+        if slot.is_nan() || arr < *slot {
+            *slot = arr;
+        }
+    };
+    let mut net_min = vec![f64::NAN; design.num_nets()];
+
+    let port_arr = input.clock.insertion_ps + INPUT_MIN_DELAY_PS;
+    if graph.clock_from_port {
+        net_min[graph.clock_net.index()] = port_arr;
+    }
+    for l in &graph.port_launches {
+        net_min[l.net.index()] = port_arr;
+    }
+    for l in &graph.reg_launches {
+        let clk = input.clock.arrival_ps[l.inst.index()];
+        let arr = match design.inst(l.inst).master {
+            Master::Cell(c) => {
+                let (d, _) = cell_arc_delay(lib.cell(c), 0, 40.0, load_of(l.net), corner);
+                clk + d
+            }
+            Master::Macro(m) => clk + design.macro_master(m).access_ps * corner.delay_derate(),
+        };
+        lower(&mut net_min[l.net.index()], arr);
+    }
+
+    for node in &graph.nodes {
+        let Master::Cell(c) = design.inst(node.inst).master else {
+            continue;
+        };
+        let cell = lib.cell(c);
+        let load = load_of(node.out_net);
+        let mut best = f64::NAN;
+        for arc in graph.node_arcs(node) {
+            let in_min = net_min[arc.in_net.index()];
+            if in_min.is_nan() {
+                continue;
+            }
+            let (d, _) = cell_arc_delay(cell, arc.arc_ix as usize, 30.0, load, corner);
+            lower(&mut best, in_min + d);
+        }
+        if !best.is_nan() {
+            lower(&mut net_min[node.out_net.index()], best);
+        }
+    }
+
+    let mut worst = f64::INFINITY;
+    let mut endpoints = Vec::new();
+    for ep in &graph.endpoints {
+        let EndpointKind::Reg { clk_inst, pin, .. } = ep.kind else {
+            continue;
+        };
+        let Master::Cell(c) = design.inst(clk_inst).master else {
+            continue;
+        };
+        let arr = net_min[ep.net.index()];
+        if arr.is_nan() {
+            continue;
+        }
+        let slack = arr - (input.clock.arrival_ps[clk_inst.index()] + lib.cell(c).hold_ps);
+        if slack < worst {
+            worst = slack;
+        }
+        if slack < 0.0 {
+            endpoints.push((clk_inst, pin, -slack));
+        }
+    }
+    HoldReport {
+        worst_slack_ps: if worst.is_finite() { worst } else { 0.0 },
+        violations: endpoints.len(),
+        endpoints,
+    }
+}
+
+/// The reference hold check: the same min-propagation as
+/// [`hold_on_graph`], walking a [`StaContext`] (topological order plus
+/// a pin `HashMap`) built per call. Tests hold the graph version to it.
+#[cfg(test)]
+pub(crate) fn check_hold_oracle(input: &StaInput<'_>) -> HoldReport {
     let design = input.design;
     let lib = design.library();
     let corner = Corner::Ff;
@@ -275,10 +386,7 @@ pub fn check_hold(input: &StaInput<'_>) -> HoldReport {
     };
 
     // launches: FF Q at min clk->q; macro douts at access; input
-    // ports at the virtual clock (the upstream tile has the same
-    // insertion delay) plus a small guaranteed input-hold margin (its
-    // outputs are registered, so they cannot change before clk->q)
-    const INPUT_MIN_DELAY_PS: f64 = 25.0;
+    // ports at the virtual clock plus the input-hold margin
     for pid in design.port_ids() {
         let port = design.port(pid);
         if port.dir == PinDir::Input {
@@ -952,5 +1060,272 @@ mod tests {
         let s2 = worst_slack(&input, 600.0);
         let s3 = worst_slack(&input, 1200.0);
         assert!(s1 < s2 && s2 < s3);
+    }
+
+    /// Checks hold on `input` with the one-shot wrapper and with a
+    /// fresh session, holds both to the oracle, and returns the report.
+    fn hold_matches_oracle(input: &StaInput<'_>) -> HoldReport {
+        let oracle = check_hold_oracle(input);
+        assert_eq!(check_hold(input), oracle);
+        assert_eq!(crate::StaSession::new(input).check_hold(input), oracle);
+        oracle
+    }
+
+    fn ff_input<'a>(
+        d: &'a Design,
+        p: &'a [NetParasitics],
+        c: &'a StaConstraints,
+        clock: &'a ClockArrivals,
+    ) -> StaInput<'a> {
+        StaInput {
+            design: d,
+            parasitics: p,
+            routed: None,
+            constraints: c,
+            clock,
+            corner: Corner::Ff,
+        }
+    }
+
+    fn inst_named(d: &Design, name: &str) -> InstId {
+        d.inst_ids()
+            .find(|&i| d.inst(i).name == name)
+            .expect("instance exists")
+    }
+
+    #[test]
+    fn session_hold_matches_oracle_with_late_capture_clocks() {
+        for (chain, elmore) in [(1, 0.0), (3, 5.0), (6, 20.0)] {
+            let (d, p, c) = reg2reg(chain, elmore);
+            let (f0, f1) = (inst_named(&d, "f0"), inst_named(&d, "f1"));
+            // (f0 clock, f1 clock, violating registers): a capture clock
+            // 2 ns late breaks f1.D (pin 0); a launch clock 900 ps late
+            // breaks f0.D behind its input port
+            for (late0, late1, expect) in [
+                (0.0, 0.0, vec![]),
+                (0.0, 2_000.0, vec![f1]),
+                (900.0, 0.0, vec![f0]),
+                (900.0, 2_500.0, vec![f0, f1]),
+            ] {
+                let mut clock = ClockArrivals::ideal(&d);
+                clock.insertion_ps = 40.0;
+                clock.arrival_ps[f0.index()] = late0;
+                clock.arrival_ps[f1.index()] = late1;
+                let h = hold_matches_oracle(&ff_input(&d, &p, &c, &clock));
+                let got: Vec<InstId> = h.endpoints.iter().map(|&(i, ..)| i).collect();
+                assert_eq!(got, expect, "chain {chain}: {h:?}");
+                assert!(h
+                    .endpoints
+                    .iter()
+                    .all(|&(_, pin, short)| pin == 0 && short > 0.0));
+                assert_eq!(h.violations, expect.len());
+            }
+        }
+    }
+
+    /// An SRAM whose outputs feed flip-flops directly and through an
+    /// inverter, with a flip-flop driving one of its data inputs.
+    fn macro_launch_design() -> (Design, Vec<NetParasitics>, StaConstraints) {
+        let lib = Arc::new(n28_library(1.0));
+        let inv = lib.smallest(CellClass::Inv).expect("inv");
+        let dff = lib.smallest(CellClass::Dff).expect("dff");
+        let mut d = Design::new("m", lib);
+        let mm = d.add_macro_master(macro3d_sram::MemoryCompiler::n28().sram("s", 64, 8));
+        let def = d.macro_master(mm).clone();
+        let m = d.add_macro_in("sram", mm, 0);
+        let clk_p = d.add_port("clk", PinDir::Input, None);
+        let clk = d.add_net("clk");
+        d.connect(clk, PinRef::Port(clk_p));
+        let pin_of = |dir: PinDir, class: macro3d_sram::PinClass| {
+            def.pins
+                .iter()
+                .position(|p| p.dir == dir && p.class == class)
+                .expect("pin exists") as u16
+        };
+        d.connect(
+            clk,
+            PinRef::inst(m, pin_of(PinDir::Input, macro3d_sram::PinClass::Clock)),
+        );
+        let douts: Vec<u16> = def
+            .pins
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.dir == PinDir::Output)
+            .map(|(i, _)| i as u16)
+            .take(2)
+            .collect();
+        for (k, &dout) in douts.iter().enumerate() {
+            let f = d.add_cell(format!("f{k}"), dff);
+            d.connect(clk, PinRef::inst(f, 1));
+            let n = d.add_net(format!("dout{k}"));
+            d.connect(n, PinRef::inst(m, dout));
+            if k == 0 {
+                d.connect(n, PinRef::inst(f, 0));
+            } else {
+                let g = d.add_cell("g", inv);
+                d.connect(n, PinRef::inst(g, 0));
+                let w = d.add_net("w");
+                d.connect(w, PinRef::inst(g, 1));
+                d.connect(w, PinRef::inst(f, 0));
+            }
+        }
+        // a flip-flop feeding an SRAM data input: a macro endpoint,
+        // which hold does not check
+        let fq = d.add_cell("fq", dff);
+        d.connect(clk, PinRef::inst(fq, 1));
+        let q = d.add_net("q");
+        d.connect(q, PinRef::inst(fq, 2));
+        d.connect(
+            q,
+            PinRef::inst(m, pin_of(PinDir::Input, macro3d_sram::PinClass::DataIn)),
+        );
+        let parasitics = d
+            .net_ids()
+            .map(|n| NetParasitics {
+                wire_cap_ff: 2.0,
+                total_res_ohm: 100.0,
+                elmore_ps: vec![3.0; d.sinks(n).count()],
+                driver_load_ff: 4.0,
+            })
+            .collect();
+        (d, parasitics, StaConstraints::new(clk))
+    }
+
+    #[test]
+    fn session_hold_matches_oracle_on_macro_launches() {
+        let (d, p, c) = macro_launch_design();
+        let m = inst_named(&d, "sram");
+        for late in [0.0, 400.0, 3_000.0] {
+            let mut clock = ClockArrivals::ideal(&d);
+            for f in ["f0", "f1", "fq"] {
+                clock.arrival_ps[inst_named(&d, f).index()] = late;
+            }
+            let h = hold_matches_oracle(&ff_input(&d, &p, &c, &clock));
+            // the macro's own data inputs are never hold endpoints
+            assert!(h.endpoints.iter().all(|&(i, ..)| i != m));
+            if late >= 3_000.0 {
+                assert_eq!(h.violations, 2, "{h:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn session_hold_seeds_a_port_driven_clock_net() {
+        // the clock doubles as data: clk -> inv -> f1.D, so f1 is only
+        // checked if the clock net is launched like an input port
+        let (mut d, p, c) = reg2reg(1, 0.0);
+        let inv = d.library().smallest(CellClass::Inv).expect("inv");
+        let f1 = inst_named(&d, "f1");
+        let w0 = d.net_ids().find(|&n| d.net(n).name == "w0").expect("w0");
+        d.disconnect(w0, PinRef::inst(f1, 0));
+        let g = d.add_cell("gclk", inv);
+        d.connect(c.clock_net, PinRef::inst(g, 0));
+        let wc = d.add_net("wc");
+        d.connect(wc, PinRef::inst(g, 1));
+        d.connect(wc, PinRef::inst(f1, 0));
+        let mut p = p;
+        p.resize(d.num_nets(), NetParasitics::default());
+        let mut clock = ClockArrivals::ideal(&d);
+        clock.insertion_ps = 60.0;
+        let h = hold_matches_oracle(&ff_input(&d, &p, &c, &clock));
+        assert_eq!(h.violations, 0);
+        clock.arrival_ps[f1.index()] = 1_000.0;
+        let h = hold_matches_oracle(&ff_input(&d, &p, &c, &clock));
+        assert_eq!(h.endpoints.len(), 1);
+        assert_eq!((h.endpoints[0].0, h.endpoints[0].1), (f1, 0));
+    }
+
+    #[test]
+    fn session_hold_rebuilds_a_stale_graph_after_fix_hold() {
+        let (mut d, p, c) = reg2reg(2, 0.0);
+        let f1 = inst_named(&d, "f1");
+        let mut clock = ClockArrivals::ideal(&d);
+        clock.arrival_ps[f1.index()] = 500.0;
+        let par = Parallelism::serial();
+        let mut session = crate::StaSession::new(&ff_input(&d, &p, &c, &clock));
+        // leave a converged setup state behind, sized for the old graph
+        let ss = |input: StaInput<'_>| -> f64 {
+            crate::StaSession::new(&input)
+                .analyze(&input, &par)
+                .min_period_ps
+        };
+        let before_ss = StaInput {
+            corner: Corner::Ss,
+            ..ff_input(&d, &p, &c, &clock)
+        };
+        assert_eq!(
+            session.analyze(&before_ss, &par).min_period_ps,
+            ss(before_ss)
+        );
+        let h = session.check_hold(&ff_input(&d, &p, &c, &clock));
+        assert_eq!(h, check_hold_oracle(&ff_input(&d, &p, &c, &clock)));
+        assert!(h.violations > 0);
+
+        let mut placement = macro3d_place::Placement::new(&d);
+        let inserted = crate::opt::fix_hold(&mut d, &mut placement, &h, 10);
+        assert!(!inserted.is_empty());
+        clock.arrival_ps.resize(d.num_insts(), 0.0);
+        let mut p = p;
+        p.resize(d.num_nets(), NetParasitics::default());
+        let after = session.check_hold(&ff_input(&d, &p, &c, &clock));
+        assert_eq!(after, check_hold_oracle(&ff_input(&d, &p, &c, &clock)));
+        assert!(
+            after.worst_slack_ps > h.worst_slack_ps,
+            "{h:?} -> {after:?}"
+        );
+        // the rebuild dropped the stale setup state: an update re-solves
+        // cold on the new graph
+        let after_ss = StaInput {
+            corner: Corner::Ss,
+            ..ff_input(&d, &p, &c, &clock)
+        };
+        assert_eq!(
+            session.update(&after_ss, &[], &par).min_period_ps,
+            ss(after_ss)
+        );
+    }
+
+    /// The designs every golden `mini` flow signs off — placed, routed,
+    /// sized, ECO-legalized — checked by the flow's own session graph
+    /// (built before sizing), by a fresh session and by the oracle.
+    #[test]
+    fn session_hold_matches_oracle_on_golden_mini_flows() {
+        let tile = macro3d_soc::generate_tile(&macro3d_soc::TileConfig::mini());
+        for flow in macro3d::flows::all_flows() {
+            for placer in [
+                macro3d::PlacerBackend::Bisection,
+                macro3d::PlacerBackend::Analytical,
+            ] {
+                let mut cfg = macro3d::FlowConfig::builder()
+                    .sizing_rounds(2)
+                    .placer(placer)
+                    .build()
+                    .expect("valid config");
+                cfg.route.iterations = 2;
+                let imp = flow.try_run(&tile, &cfg).expect("flow runs").implemented;
+                // the flow links the library build of this crate: carry
+                // its constraints and clock over field by field
+                let mut c = StaConstraints::new(imp.constraints.clock_net);
+                c.half_cycle_ports = imp.constraints.half_cycle_ports.clone();
+                let clock = ClockArrivals {
+                    arrival_ps: imp.clock.arrival_ps.clone(),
+                    depth: imp.clock.depth,
+                    skew_ps: imp.clock.skew_ps,
+                    wire_cap_ff: imp.clock.wire_cap_ff,
+                    insertion_ps: imp.clock.insertion_ps,
+                };
+                let input = StaInput {
+                    routed: Some(&imp.routed),
+                    ..ff_input(&imp.design, &imp.parasitics, &c, &clock)
+                };
+                let oracle = hold_matches_oracle(&input);
+                let flow_report = HoldReport {
+                    worst_slack_ps: imp.hold.worst_slack_ps,
+                    violations: imp.hold.violations,
+                    endpoints: imp.hold.endpoints.clone(),
+                };
+                assert_eq!(flow_report, oracle, "{} / {placer:?}", flow.name());
+            }
+        }
     }
 }

@@ -80,6 +80,8 @@ pub(crate) enum EndpointKind {
     Reg {
         /// Capturing instance (indexes the clock-arrival table).
         clk_inst: InstId,
+        /// The data pin on `clk_inst` (reported by hold checks).
+        pin: u16,
         /// Setup requirement before corner derating, ps.
         setup_ps: f64,
     },
@@ -104,8 +106,9 @@ pub(crate) struct GraphEndpoint {
 
 /// The flattened, period-independent timing graph.
 ///
-/// Built once per design revision; every propagation (probe or
-/// parametric) and every incremental cone update walks these arrays.
+/// Built once per design revision; every parametric propagation,
+/// every incremental cone update and the hold check walk these
+/// arrays.
 /// `Clone` deep-copies the arrays so a cached session can be
 /// snapshotted and resumed independently.
 #[derive(Clone)]
@@ -274,6 +277,7 @@ impl TimingGraph {
                                 six,
                                 kind: EndpointKind::Reg {
                                     clk_inst: inst,
+                                    pin: pin as u16,
                                     setup_ps: cell.setup_ps,
                                 },
                             });
@@ -308,6 +312,7 @@ impl TimingGraph {
                                     six,
                                     kind: EndpointKind::Reg {
                                         clk_inst: inst,
+                                        pin: p as u16,
                                         setup_ps: def.setup_ps,
                                     },
                                 });

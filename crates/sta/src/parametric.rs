@@ -43,7 +43,7 @@
 //! edits (new instances/nets) are detected via the graph's shape
 //! snapshot and trigger a transparent rebuild + cold analysis.
 
-use crate::analysis::{StaInput, TimingReport, ARCS_EVALUATED, PROPAGATIONS};
+use crate::analysis::{HoldReport, StaInput, TimingReport, ARCS_EVALUATED, PROPAGATIONS};
 use crate::dcalc::{cell_arc_delay, wire_slew};
 use crate::graph::{EndpointKind, TimingGraph, NO_NODE};
 use macro3d_netlist::{Master, NetId};
@@ -307,7 +307,9 @@ impl PassCtx<'_, '_> {
         }
         let a_off = a.off + self.elmore(ep.net, ep.six as usize);
         let (req_coeff, req_const) = match ep.kind {
-            EndpointKind::Reg { clk_inst, setup_ps } => {
+            EndpointKind::Reg {
+                clk_inst, setup_ps, ..
+            } => {
                 let clk = self.input.clock.arrival_ps[clk_inst.index()];
                 (1.0, clk - setup_ps * self.input.corner.delay_derate())
             }
@@ -625,6 +627,21 @@ impl StaSession {
         let rep = report_from(input, graph, &st, t, par);
         self.state = Some((st, t));
         rep
+    }
+
+    /// Hold check at the fast corner (see [`crate::check_hold`]) over
+    /// the session's timing graph, so a flow pays no second
+    /// topological sort or pin map for it. Rebuilds the graph first
+    /// when the design changed shape — e.g. after
+    /// [`crate::opt::fix_hold`] spliced in delay chains — and then
+    /// drops the converged setup state, so the next
+    /// [`StaSession::update`] re-analyzes cold.
+    pub fn check_hold(&mut self, input: &StaInput<'_>) -> HoldReport {
+        if self.graph.is_stale(input.design) {
+            self.graph = TimingGraph::build(input.design, input.constraints);
+            self.state = None;
+        }
+        crate::analysis::hold_on_graph(input, &self.graph)
     }
 }
 

@@ -5,7 +5,6 @@
 //! (fJ/cycle, "power-per-megahertz") as the energy metric, and the
 //! total pin/wire capacitances of Table II.
 
-use macro3d_extract::NetParasitics;
 use macro3d_netlist::{Design, Master, NetId};
 use macro3d_tech::Corner;
 use std::collections::HashSet;
@@ -14,8 +13,9 @@ use std::collections::HashSet;
 pub struct PowerInput<'a> {
     /// The netlist.
     pub design: &'a Design,
-    /// Extracted parasitics indexed by `NetId`.
-    pub parasitics: &'a [NetParasitics],
+    /// Wire capacitance per net, fF, indexed by `NetId` (nets past
+    /// the end count 0). Power reads nothing else of the parasitics.
+    pub wire_cap_ff: &'a [f64],
     /// Nets belonging to the clock tree (toggle twice per cycle).
     pub clock_nets: &'a HashSet<NetId>,
     /// Operating frequency, MHz.
@@ -65,11 +65,7 @@ pub fn analyze_power(input: &PowerInput<'_>) -> PowerReport {
     let mut cpin_ff = 0.0;
     let mut e_switch_fj = 0.0; // per cycle
     for net in design.net_ids() {
-        let wire = input
-            .parasitics
-            .get(net.index())
-            .map(|p| p.wire_cap_ff)
-            .unwrap_or(0.0);
+        let wire = input.wire_cap_ff.get(net.index()).copied().unwrap_or(0.0);
         let pin_cap: f64 = design
             .net(net)
             .pins
@@ -139,7 +135,7 @@ mod tests {
     use macro3d_tech::{libgen::n28_library, CellClass, PinDir};
     use std::sync::Arc;
 
-    fn small() -> (Design, Vec<NetParasitics>, NetId) {
+    fn small() -> (Design, Vec<f64>, NetId) {
         let lib = Arc::new(n28_library(1.0));
         let inv = lib.smallest(CellClass::Inv).expect("inv");
         let dff = lib.smallest(CellClass::Dff).expect("dff");
@@ -159,11 +155,8 @@ mod tests {
         d.connect(q, PinRef::inst(g, 0));
         let o = d.add_net("o");
         d.connect(o, PinRef::inst(g, 1));
-        let mut parasitics = vec![NetParasitics::default(); d.num_nets()];
-        for n in d.net_ids() {
-            parasitics[n.index()].wire_cap_ff = 10.0;
-        }
-        (d, parasitics, clk)
+        let wire_cap_ff = vec![10.0; d.num_nets()];
+        (d, wire_cap_ff, clk)
     }
 
     #[test]
@@ -173,7 +166,7 @@ mod tests {
         let run = |f: f64| {
             analyze_power(&PowerInput {
                 design: &d,
-                parasitics: &p,
+                wire_cap_ff: &p,
                 clock_nets: &clocks,
                 freq_mhz: f,
                 toggle: 0.2,
@@ -198,7 +191,7 @@ mod tests {
         let without: HashSet<NetId> = HashSet::new();
         let a = analyze_power(&PowerInput {
             design: &d,
-            parasitics: &p,
+            wire_cap_ff: &p,
             clock_nets: &with_clk,
             freq_mhz: 400.0,
             toggle: 0.2,
@@ -206,7 +199,7 @@ mod tests {
         });
         let b = analyze_power(&PowerInput {
             design: &d,
-            parasitics: &p,
+            wire_cap_ff: &p,
             clock_nets: &without,
             freq_mhz: 400.0,
             toggle: 0.2,
@@ -221,7 +214,7 @@ mod tests {
         let clocks: HashSet<NetId> = [clk].into_iter().collect();
         let r = analyze_power(&PowerInput {
             design: &d,
-            parasitics: &p,
+            wire_cap_ff: &p,
             clock_nets: &clocks,
             freq_mhz: 400.0,
             toggle: 0.2,

@@ -82,9 +82,10 @@ proptest! {
     fn power_decomposition_consistent(freq in 50.0f64..2_000.0, toggle in 0.01f64..1.0) {
         let (d, p, c) = chain_design(6, 10.0);
         let clocks: HashSet<NetId> = [c.clock_net].into_iter().collect();
+        let wire_cap_ff: Vec<f64> = p.iter().map(|n| n.wire_cap_ff).collect();
         let r = analyze_power(&PowerInput {
             design: &d,
-            parasitics: &p,
+            wire_cap_ff: &wire_cap_ff,
             clock_nets: &clocks,
             freq_mhz: freq,
             toggle,
