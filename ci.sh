@@ -160,5 +160,31 @@ for label in on:
     assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
 print('sweep-reuse gate OK: depths %s, fingerprints bit-identical to scratch run' % depths)
 "
+# The F2F bond pitch keys only the STA stage (the router never reads
+# it), so a pitch x sizing_rounds grid shares one routed prefix: one
+# cold point, then three depth-4 re-entries on the restored route.
+./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
+  --axis f2f_pitch_um=1,10 --axis sizing_rounds=1,2 --workers 1 \
+  --out target/sweep_pitch_on.txt
+./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
+  --axis f2f_pitch_um=1,10 --axis sizing_rounds=1,2 --workers 1 \
+  --no-stage-reuse --out target/sweep_pitch_off.txt
+python3 -c "
+def rows(path):
+    out = {}
+    for line in open(path):
+        parts = line.split()
+        if parts and parts[0].count('=') >= 2:  # 'f2f_pitch_um=..,sizing_rounds=..'
+            out[parts[0]] = (int(parts[6]), parts[7])  # (reuse depth, fingerprint)
+    return out
+on, off = rows('target/sweep_pitch_on.txt'), rows('target/sweep_pitch_off.txt')
+assert len(on) == 4 and len(off) == 4, (on, off)
+depths = sorted(d for d, _ in on.values())
+assert depths == [0, 4, 4, 4], 'one cold point, every pitch change re-enters at STA: %s' % on
+assert all(d == 0 for d, _ in off.values()), 'reuse off must run everything cold: %s' % off
+for label in on:
+    assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
+print('sweep-reuse pitch gate OK: depths %s, fingerprints bit-identical to scratch run' % depths)
+"
 
 echo "CI OK"

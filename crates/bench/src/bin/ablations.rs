@@ -49,7 +49,7 @@ fn main() {
         let imp = Macro3d.run(&tile, &f).implemented;
         println!(
             "pitch {:>5.1} um: {:>6} bumps, {:>4} overcrowded GCells, fclk {:>6.1} MHz",
-            pitch, imp.routed.f2f_bumps, imp.routed.f2f_overcrowded_gcells, imp.timing.fclk_mhz
+            pitch, imp.routed.f2f_bumps, imp.f2f_overcrowded_gcells, imp.timing.fclk_mhz
         );
     }
 

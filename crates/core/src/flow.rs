@@ -257,6 +257,12 @@ pub struct ImplementedDesign {
     pub stack: MetalStack,
     /// Routing result.
     pub routed: RoutedDesign,
+    /// The sign-off bump-density count: GCells whose F2F crossings
+    /// exceed the `route.f2f_pitch_um` bond-pitch bump capacity
+    /// ([`RoutedDesign::f2f_overcrowded_gcells`]; 0 on a single-die
+    /// stack or with no pitch). Counted on every run, restored routes
+    /// included, so it always reflects this run's pitch.
+    pub f2f_overcrowded_gcells: usize,
     /// The sign-off (SS) parasitics per net that `timing` was computed
     /// from: extracted after routing, with the driver loads sizing
     /// edited in place. Nets added by hold fixing are unrouted and
@@ -907,11 +913,17 @@ pub(crate) fn finish_design(
             );
             let routed = router.route();
             if let Some(r) = reuse.as_deref_mut() {
-                r.store_route(router, &routed);
+                r.store_route(&routed);
             }
             routed
         }
     };
+    let f2f_overcrowded_gcells = routed.f2f_overcrowded_gcells(
+        fp.die(),
+        stack.f2f_cut(),
+        cfg.route.gcell_um,
+        cfg.route.f2f_pitch_um,
+    );
     timer.mark("route");
     flow_gate("flow/extract")?;
     let restored = reuse.as_deref().and_then(StageReuse::extract_snap);
@@ -1054,6 +1066,7 @@ pub(crate) fn finish_design(
         fp,
         stack,
         routed,
+        f2f_overcrowded_gcells,
         parasitics,
         clock_tree,
         clock,

@@ -33,14 +33,17 @@
 //!
 //! | stage     | key fields |
 //! |-----------|------------|
-//! | floorplan | flow name, full `TileConfig`, crate version, budget, fault plan, `logic_metals`, `macro_metals`¹, `util_logic`, `util_macro`, `halo_um` |
+//! | floorplan | flow name, full `TileConfig`, crate version, budget, fault plan, `logic_metals`, `macro_metals` (not for `2D`), `util_logic`, `util_macro`, `halo_um` |
 //! | place     | `place` (all fields + chunk size), `cts`, `repeater_max_len_um` |
-//! | route     | `route` (all fields + chunk size) |
+//! | route     | `route` (all fields + chunk size) except `f2f_pitch_um` |
 //! | extract   | — (inputs fully determined by the prefix) |
-//! | sta       | `sizing_rounds` |
+//! | sta       | `sizing_rounds`, `route.f2f_pitch_um` |
 //!
-//! ¹ `macro_metals` keys the 2D floorplan stage too — the 2D flow
-//! never reads it, but the flows that share a worker do.
+//! The 2D flow builds a `logic_metals`-deep stack and never reads
+//! `macro_metals`, so only the flows that stack a macro die key it.
+//! The router never reads `route.f2f_pitch_um`: only the sign-off
+//! bump-density count does (`flow::finish_design`), so a pitch-only
+//! change re-enters at STA on a restored route.
 //!
 //! The pseudo-2D baselines (`MoL S2D`, `BF S2D`, `C2D`) consume the
 //! route and sizing knobs *inside* their stage-1 pseudo-2D run, so
@@ -73,7 +76,7 @@ use macro3d_extract::NetParasitics;
 use macro3d_netlist::Design;
 use macro3d_par::Parallelism;
 use macro3d_place::{AnalyticalConfig, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
-use macro3d_route::{RouteConfig, RoutedDesign, Router};
+use macro3d_route::{RouteConfig, RoutedDesign};
 use macro3d_soc::TileConfig;
 use macro3d_sta::{ClockArrivals, ClockTree, CtsConfig, StaSession};
 use macro3d_tech::stack::MetalStack;
@@ -154,7 +157,9 @@ fn route_payload(r: &RouteConfig) -> String {
         iterations,
         via_cost,
         max_net_degree,
-        f2f_pitch_um,
+        // read only by the sign-off bump-density count, never by the
+        // router: it keys the STA stage instead
+        f2f_pitch_um: _,
         // the router commits per chunk; results never depend on threads
         parallelism: Parallelism {
             threads: _,
@@ -163,7 +168,7 @@ fn route_payload(r: &RouteConfig) -> String {
     } = r;
     format!(
         "gcell={gcell_um};util={utilization};iters={iterations};via={via_cost};\
-         deg={max_net_degree};f2f={f2f_pitch_um:?};chunk={chunk_size}"
+         deg={max_net_degree};chunk={chunk_size}"
     )
 }
 
@@ -241,9 +246,14 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
     );
     let pseudo2d = matches!(flow, "MoL S2D" | "BF S2D" | "C2D");
 
-    let floorplan_payload = format!(
-        "lm={logic_metals};mm={macro_metals};ul={util_logic};um={util_macro};halo={halo_um}"
-    );
+    // the 2D stack is `logic_metals` deep: only the flows that stack
+    // a macro die read `macro_metals`
+    let macro_die = match flow {
+        "2D" => String::new(),
+        _ => format!("mm={macro_metals};"),
+    };
+    let floorplan_payload =
+        format!("lm={logic_metals};{macro_die}ul={util_logic};um={util_macro};halo={halo_um}");
     let mut place_stage = format!(
         "{};cts={max_fanout},{repeater_spacing_um};rep={repeater_max_len_um}",
         place_payload(place)
@@ -260,7 +270,10 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
     let k1 = chain(k0, &place_stage);
     let k2 = chain(k1, &route_payload(route));
     let k3 = chain(k2, "extract");
-    let k4 = chain(k3, &format!("sr={sizing_rounds}"));
+    let k4 = chain(
+        k3,
+        &format!("sr={sizing_rounds};f2f={:?}", route.f2f_pitch_um),
+    );
     StageKeys {
         prefix: [k0, k1, k2, k3, k4],
     }
@@ -301,13 +314,10 @@ pub struct PlaceSnap {
     pub tree: ClockTree,
 }
 
-/// Route-boundary artifacts. The [`Router`] session (committed paths,
-/// congestion history, Steiner topologies) is kept alive so future
-/// incremental re-entry points can drive `Router::update`; the
-/// routed design is what the downstream stages consume today.
+/// Route-boundary artifacts: the routed design the downstream stages
+/// consume. It carries no sign-off count — the bump-density check
+/// reruns on every restore under the run's own pitch.
 pub struct RouteSnap {
-    /// The full negotiation session, resumable via `Router::update`.
-    pub router: Router,
     /// The assembled routing result.
     pub routed: RoutedDesign,
 }
@@ -470,12 +480,11 @@ impl<'a> StageReuse<'a> {
         self.store(Stage::Place, Artifact::Place(Arc::new(snap)));
     }
 
-    /// Stores the route-boundary snapshot (takes the live router).
-    pub fn store_route(&mut self, router: Router, routed: &RoutedDesign) {
+    /// Stores the route-boundary snapshot.
+    pub fn store_route(&mut self, routed: &RoutedDesign) {
         self.store(
             Stage::Route,
             Artifact::Route(Arc::new(RouteSnap {
-                router,
                 routed: routed.clone(),
             })),
         );
@@ -510,15 +519,43 @@ mod tests {
         assert_ne!(base.key(Stage::Extract), routed.key(Stage::Extract));
         assert_ne!(base.key(Stage::Sta), routed.key(Stage::Sta));
 
-        // an STA-only knob: only the terminal key moves
+        // STA-only knobs: only the terminal key moves. The bond pitch
+        // is one: the router never reads it, the sign-off count does
         let sized = keys(|c| c.sizing_rounds += 1);
-        assert_eq!(base.key(Stage::Extract), sized.key(Stage::Extract));
-        assert_ne!(base.key(Stage::Sta), sized.key(Stage::Sta));
+        let pitched = keys(|c| c.route.f2f_pitch_um = Some(10.0));
+        for late in [sized, pitched] {
+            for s in [Stage::Floorplan, Stage::Place, Stage::Route, Stage::Extract] {
+                assert_eq!(base.key(s), late.key(s), "{}", s.name());
+            }
+            assert_ne!(base.key(Stage::Sta), late.key(Stage::Sta));
+        }
+        let unpitched = keys(|c| c.route.f2f_pitch_um = None);
+        assert_ne!(pitched.key(Stage::Sta), unpitched.key(Stage::Sta));
+        assert_ne!(base.key(Stage::Sta), unpitched.key(Stage::Sta));
 
         // a floorplan knob: everything moves
         let fp = keys(|c| c.util_logic += 0.01);
         for s in Stage::all() {
             assert_ne!(base.key(s), fp.key(s), "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn macro_metals_keys_only_flows_with_a_macro_die() {
+        let tile = TileConfig::mini();
+        let metals = |flow: &str, n: usize| {
+            let cfg = FlowConfig {
+                macro_metals: n,
+                ..FlowConfig::default()
+            };
+            stage_keys(flow, &tile, &cfg)
+        };
+        assert_eq!(metals("2D", 4), metals("2D", 6), "2D never reads it");
+        for flow in ["Macro-3D", "MoL S2D", "BF S2D", "C2D"] {
+            let (a, b) = (metals(flow, 4), metals(flow, 6));
+            for s in Stage::all() {
+                assert_ne!(a.key(s), b.key(s), "{flow} {}", s.name());
+            }
         }
     }
 

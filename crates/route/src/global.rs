@@ -44,8 +44,11 @@ pub struct RouteConfig {
     /// Nets with more pins than this are skipped (pre-CTS clock nets
     /// are routed by CTS instead).
     pub max_net_degree: usize,
-    /// F2F bond pitch, µm — bounds how many bumps fit per GCell; the
-    /// result reports GCells exceeding it. `None` disables the check.
+    /// F2F bond pitch, µm — bounds how many bumps fit per GCell.
+    /// Read by the sign-off bump-density count
+    /// ([`RoutedDesign::f2f_overcrowded_gcells`]), never by the
+    /// router, so it does not change routes. `None` disables the
+    /// check.
     pub f2f_pitch_um: Option<f64>,
     /// Worker threads and batch size for the chunked inner loop. The
     /// chunk size changes routing results (it sets the commit
@@ -167,7 +170,8 @@ impl RouteConfigBuilder {
         self
     }
 
-    /// F2F bond pitch for the bump-density check (`None` disables).
+    /// F2F bond pitch for the sign-off bump-density count (`None`
+    /// disables it; the router never reads it).
     pub fn f2f_pitch_um(mut self, pitch: Option<f64>) -> Self {
         self.cfg.f2f_pitch_um = pitch;
         self
@@ -242,6 +246,11 @@ type Leg = ((BinIx, u16), (BinIx, u16));
 /// just what overflows. Grid, costs, congestion history, Steiner
 /// topologies, and search scratch all persist across calls.
 ///
+/// The flows build a fresh session for every route and drop it after
+/// the solve: the stage cache keeps only the [`RoutedDesign`], so
+/// `update` is driven today by the engines bench and the
+/// session-equivalence tests.
+///
 /// Every net is guaranteed a route (possibly through overflowed
 /// edges, reported in the result).
 ///
@@ -301,31 +310,6 @@ pub struct Router {
     net_edges: Vec<Vec<u32>>,
     /// nets awaiting (re-)routing in the next negotiation.
     pending: Vec<bool>,
-}
-
-/// Cloning snapshots the whole session — grid usage/history, committed
-/// routes, pending set — so a cached router can be deep-copied and
-/// driven forward (e.g. `update`) without disturbing the original.
-/// The scratch pool is per-clone (its contents never affect results);
-/// the immutable search constants are shared by `Arc`.
-impl Clone for Router {
-    fn clone(&self) -> Self {
-        Router {
-            cfg: self.cfg,
-            grid: self.grid.clone(),
-            f2f_cut: self.f2f_cut,
-            shared: Arc::clone(&self.shared),
-            pool: ScratchPool::new(),
-            nets: self.nets.clone(),
-            index: self.index.clone(),
-            num_nets: self.num_nets,
-            order: self.order.clone(),
-            topo: self.topo.clone(),
-            routes: self.routes.clone(),
-            net_edges: self.net_edges.clone(),
-            pending: self.pending.clone(),
-        }
-    }
 }
 
 impl Router {
@@ -621,20 +605,6 @@ impl Router {
                 macro3d_par::StopReason::IterationCap,
                 detail,
             );
-        }
-        // bump-density check: crossings per GCell vs the pitch budget
-        if let (Some(pitch), Some(cut)) = (self.cfg.f2f_pitch_um, self.f2f_cut) {
-            let per_gcell = (self.cfg.gcell_um / pitch).max(1.0).powi(2) as u32;
-            let mut counts: HashMap<(i64, i64), u32> = HashMap::new();
-            for r in result.nets.iter().flatten() {
-                for v in &r.vias {
-                    if v.layer as usize == cut {
-                        let b = self.grid.gcell_of(v.at);
-                        *counts.entry((b.x as i64, b.y as i64)).or_insert(0) += 1;
-                    }
-                }
-            }
-            result.f2f_overcrowded_gcells = counts.values().filter(|&&c| c > per_gcell).count();
         }
         result
     }
@@ -1049,21 +1019,18 @@ mod tests {
                 ],
             ));
         }
-        // a coarse bond pitch makes per-gcell capacity tiny
-        let mut cfg = RouteConfig {
-            f2f_pitch_um: Some(5.0),
-            ..RouteConfig::default()
-        };
+        let cfg = RouteConfig::default();
         let r = route_once(die(), combined.stack(), &[], &nets, 300, &cfg);
         assert!(r.f2f_bumps >= 300);
+        let cut = combined.stack().f2f_cut();
+        let overcrowded = |pitch| r.f2f_overcrowded_gcells(die(), cut, cfg.gcell_um, Some(pitch));
+        // a coarse bond pitch makes per-gcell capacity tiny
         assert!(
-            r.f2f_overcrowded_gcells > 0,
+            overcrowded(5.0) > 0,
             "300 bumps in one spot overflow a 4-bump gcell"
         );
         // with the real 1um pitch the same pattern fits
-        cfg.f2f_pitch_um = Some(1.0);
-        let r2 = route_once(die(), combined.stack(), &[], &nets, 300, &cfg);
-        assert!(r2.f2f_overcrowded_gcells <= r.f2f_overcrowded_gcells);
+        assert!(overcrowded(1.0) <= overcrowded(5.0));
     }
 
     #[test]

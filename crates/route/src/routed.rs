@@ -1,6 +1,6 @@
 //! Routing results.
 
-use macro3d_geom::Point;
+use macro3d_geom::{BinGrid, Dbu, Point, Rect};
 
 /// One routed wire segment on a single layer, between GCell centres.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,7 +57,7 @@ impl RoutedNet {
 }
 
 /// The routing result for a whole design.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoutedDesign {
     /// Per-net routes, indexed by `NetId` (None for skipped or
     /// degenerate nets).
@@ -68,9 +68,6 @@ pub struct RoutedDesign {
     pub f2f_bumps: u64,
     /// Residual overflow after the final iteration.
     pub overflow: f64,
-    /// GCells whose F2F crossing count exceeds the bond-pitch bump
-    /// capacity (0 when no F2F layer or no pitch given).
-    pub f2f_overcrowded_gcells: usize,
     /// Overflowed edge count after the final iteration.
     pub overflowed_edges: usize,
     /// Peak edge utilization.
@@ -81,6 +78,36 @@ impl RoutedDesign {
     /// The route of a net, if any.
     pub fn net(&self, id: macro3d_netlist::NetId) -> Option<&RoutedNet> {
         self.nets.get(id.index()).and_then(|n| n.as_ref())
+    }
+
+    /// The bump-density check: counts the GCells whose vias on the
+    /// F2F cut `f2f_cut` outnumber the bumps a `f2f_pitch_um` bond
+    /// pitch fits in one GCell, `(gcell_um / f2f_pitch_um)²` (at
+    /// least one). GCells are binned over `die` at `gcell_um`, the
+    /// grid the router used. Returns 0 when the stack has no F2F cut
+    /// or no pitch is given.
+    ///
+    /// It reads only the finished routes: the pitch never steers the
+    /// router, so a pitch change needs a recount, not a re-route.
+    pub fn f2f_overcrowded_gcells(
+        &self,
+        die: Rect,
+        f2f_cut: Option<usize>,
+        gcell_um: f64,
+        f2f_pitch_um: Option<f64>,
+    ) -> usize {
+        let (Some(pitch), Some(cut)) = (f2f_pitch_um, f2f_cut) else {
+            return 0;
+        };
+        let per_gcell = (gcell_um / pitch).max(1.0).powi(2) as u32;
+        let grid = BinGrid::with_bin_size(die, Dbu::from_um(gcell_um));
+        let mut counts = vec![0u32; grid.len()];
+        for v in self.nets.iter().flatten().flat_map(|r| &r.vias) {
+            if v.layer as usize == cut {
+                counts[grid.flat(grid.bin_of(v.at))] += 1;
+            }
+        }
+        counts.iter().filter(|&&c| c > per_gcell).count()
     }
 }
 
@@ -112,5 +139,38 @@ mod tests {
         assert!((net.wirelength_um() - 15.0).abs() < 1e-9);
         let by_layer = net.wirelength_by_layer(3);
         assert_eq!(by_layer, vec![10.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn overcrowded_gcells_count_cut_vias_per_gcell() {
+        let via = |layer, x, y| Via {
+            layer,
+            at: Point::from_um(x, y),
+        };
+        // GCell (0,0) takes 5 cut vias, (1,0) takes 4, (2,2) takes 1;
+        // vias on other cuts never count
+        let mut vias = vec![via(3, 15.0, 5.0); 4];
+        vias.extend([via(3, 1.0, 1.0); 5]);
+        vias.push(via(3, 25.0, 25.0));
+        vias.extend([via(2, 25.0, 25.0); 9]);
+        let routed = RoutedDesign {
+            nets: vec![
+                Some(RoutedNet {
+                    vias,
+                    ..RoutedNet::default()
+                }),
+                None,
+            ],
+            ..RoutedDesign::default()
+        };
+        let die = Rect::from_um(0.0, 0.0, 30.0, 30.0);
+        let count = |pitch| routed.f2f_overcrowded_gcells(die, Some(3), 10.0, pitch);
+        // a 5um pitch fits (10/5)^2 = 4 bumps per 10um GCell
+        assert_eq!(count(Some(5.0)), 1);
+        // a pitch coarser than the GCell still fits one bump
+        assert_eq!(count(Some(20.0)), 2);
+        assert_eq!(count(Some(1.0)), 0);
+        assert_eq!(count(None), 0, "no pitch, no check");
+        assert_eq!(routed.f2f_overcrowded_gcells(die, None, 10.0, Some(5.0)), 0);
     }
 }

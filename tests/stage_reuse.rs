@@ -3,12 +3,17 @@
 //! fingerprint bit-identical to a fully cold run — across worker
 //! counts, across sweep-point submission orderings, and with reuse
 //! disabled outright. Budget and fault-plan knobs must key every
-//! stage and turn stage caching off entirely.
+//! stage and turn stage caching off entirely. Every route-config
+//! field must change what its stage key says it changes.
 
-use macro3d::ppa_fingerprint;
+use macro3d::flows::{Flow, FlowOutcome, Macro3d};
+use macro3d::{
+    ppa_fingerprint, stage_keys, FlowConfig, Parallelism, Stage, StageCache, StageReuse,
+};
 use macro3d_dse::sweep::{apply_knob, run_sweep, SweepAxis, SweepSpec};
 use macro3d_dse::{DseConfig, DseService, JobSpec, SweepOutcome};
-use macro3d_soc::TileConfig;
+use macro3d_route::RouteConfig;
+use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
 
 /// A spec fast enough to run many times in a debug-mode test.
 fn fast_spec() -> JobSpec {
@@ -254,4 +259,139 @@ fn pseudo2d_jobs_never_evict_the_direct_flow_prefix() {
         );
         service.shutdown();
     }
+}
+
+/// Runs Macro-3D on `tile`, the mini tile, against `cache` (stage
+/// reuse on).
+fn run_reusing(cache: &mut StageCache, tile: &TileNetlist, cfg: &FlowConfig) -> FlowOutcome {
+    let mut reuse = StageReuse::begin(cache, "Macro-3D", &TileConfig::mini(), cfg);
+    Macro3d
+        .try_run_reusing(tile, cfg, reuse.as_mut())
+        .expect("Macro-3D runs")
+}
+
+/// The F2F bond pitch keys only the STA stage: a pitch x sizing grid
+/// on one worker routes once and re-enters every other point at STA,
+/// bit-identical to a scratch run.
+#[test]
+fn pitch_sweeps_re_enter_at_sta() {
+    let sweep = SweepSpec {
+        base: fast_spec(),
+        axes: vec![
+            SweepAxis::new("f2f_pitch_um", &["1", "10"]),
+            SweepAxis::new("sizing_rounds", &["1", "2"]),
+        ],
+    };
+    let (warm, _) = run_fresh(&sweep, 1, true);
+    let (cold, _) = run_fresh(&sweep, 1, false);
+    let mut depths = reuse_depths(&warm);
+    depths.sort_unstable();
+    assert_eq!(depths, [0, 4, 4, 4], "a pitch change must not re-route");
+    assert_eq!(fingerprints(&warm), fingerprints(&cold));
+}
+
+/// A restored route carries no bump-density count: a warm run
+/// recounts under its own pitch, so a coarse pitch that follows a
+/// fine one reports what a cold coarse-pitch run reports.
+#[test]
+fn restored_routes_recount_bumps_under_the_new_pitch() {
+    let tile = generate_tile(&TileConfig::mini());
+    let pitched = |pitch: f64| {
+        let mut cfg = fast_spec().config;
+        cfg.route.f2f_pitch_um = Some(pitch);
+        cfg
+    };
+    let mut cache = StageCache::new();
+    let fine = run_reusing(&mut cache, &tile, &pitched(1.0));
+    let coarse = run_reusing(&mut cache, &tile, &pitched(10.0));
+    let cold = run_reusing(&mut StageCache::new(), &tile, &pitched(10.0));
+    assert_eq!((fine.reuse_depth, coarse.reuse_depth), (0, 4));
+    assert_eq!(fine.implemented.f2f_overcrowded_gcells, 0);
+    assert!(cold.implemented.f2f_overcrowded_gcells > 0);
+    assert_eq!(
+        coarse.implemented.f2f_overcrowded_gcells, cold.implemented.f2f_overcrowded_gcells,
+        "the warm run kept the restored route's count"
+    );
+}
+
+/// The over-keying guard for the route stage. Every `RouteConfig`
+/// field the route key names must change the routed design on `mini`;
+/// `f2f_pitch_um`, keyed at STA, must leave the route bit-identical
+/// and move only the sign-off count; `sizing_rounds`, the other STA
+/// knob, must move the fingerprint. The destructuring has no `..`, so
+/// a new route field does not compile until it has a perturbation.
+#[test]
+fn every_route_key_field_changes_its_stage_artifact() {
+    let tile = generate_tile(&TileConfig::mini());
+    let base = fast_spec().config;
+    // the first stage whose key a config moves
+    let keyed_at = |cfg: &FlowConfig| {
+        let (a, b) = (
+            stage_keys("Macro-3D", &TileConfig::mini(), &base),
+            stage_keys("Macro-3D", &TileConfig::mini(), cfg),
+        );
+        Stage::all().into_iter().find(|&s| a.key(s) != b.key(s))
+    };
+    let RouteConfig {
+        gcell_um,
+        utilization,
+        iterations,
+        via_cost,
+        max_net_degree,
+        f2f_pitch_um,
+        // results are thread-count invariant (route_determinism.rs)
+        parallelism: Parallelism {
+            threads: _,
+            chunk_size,
+        },
+    } = base.route;
+    let perturbed = |perturb: &dyn Fn(&mut RouteConfig)| {
+        let mut cfg = base.clone();
+        perturb(&mut cfg.route);
+        cfg
+    };
+    let keyed = [
+        ("gcell_um", perturbed(&|r| r.gcell_um = gcell_um * 0.8)),
+        (
+            "utilization",
+            perturbed(&|r| r.utilization = utilization * 0.8),
+        ),
+        ("iterations", perturbed(&|r| r.iterations = iterations + 2)),
+        ("via_cost", perturbed(&|r| r.via_cost = via_cost + 1.0)),
+        (
+            "max_net_degree",
+            perturbed(&|r| r.max_net_degree = max_net_degree / 64),
+        ),
+        (
+            "parallelism.chunk_size",
+            perturbed(&|r| r.parallelism.chunk_size = chunk_size / 4),
+        ),
+    ];
+
+    let mut cache = StageCache::new();
+    let reference = run_reusing(&mut cache, &tile, &base);
+    for (field, cfg) in keyed {
+        assert_eq!(keyed_at(&cfg), Some(Stage::Route), "route.{field}");
+        let got = run_reusing(&mut cache, &tile, &cfg);
+        assert!(
+            got.implemented.routed != reference.implemented.routed,
+            "route.{field} keys the route stage but changes no route on mini"
+        );
+    }
+
+    let coarse = perturbed(&|r| r.f2f_pitch_um = f2f_pitch_um.map(|p| p * 10.0));
+    assert_eq!(keyed_at(&coarse), Some(Stage::Sta));
+    let got = run_reusing(&mut cache, &tile, &coarse);
+    assert!(got.implemented.routed == reference.implemented.routed);
+    assert_eq!(ppa_fingerprint(&got.ppa), ppa_fingerprint(&reference.ppa));
+    assert_ne!(
+        got.implemented.f2f_overcrowded_gcells,
+        reference.implemented.f2f_overcrowded_gcells
+    );
+
+    let mut sized = base.clone();
+    sized.sizing_rounds += 1;
+    assert_eq!(keyed_at(&sized), Some(Stage::Sta));
+    let got = run_reusing(&mut cache, &tile, &sized);
+    assert_ne!(ppa_fingerprint(&got.ppa), ppa_fingerprint(&reference.ppa));
 }
