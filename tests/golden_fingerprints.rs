@@ -1,6 +1,7 @@
 //! Golden PPA fingerprints: every flow under both placer backends on
-//! `TileConfig::mini()`, and all five flows (analytical) on the
-//! small-cache tile at scale 32.
+//! `TileConfig::mini()`, all five flows (analytical) on the
+//! small-cache tile at scale 32, and one `dse_sweep`-class Macro-3D
+//! run (bisection placer, default router) on that tile with an 8 kB L2.
 //!
 //! The placement kernels are tuned for speed, and the flows are
 //! refactored for size, under a bit-identical contract — a faster
@@ -40,6 +41,13 @@ const GOLDEN_SMALL_CACHE: [(&str, u64); 5] = [
     ("C2D", 1123582819855972247),
     ("Macro-3D", 7908343535295344845),
 ];
+
+/// Macro-3D on `small_cache().with_scale(32.0)` with `l2_kb` 8, the
+/// bisection placer and the default `RouteConfig` (3 rip-up iterations
+/// on the 12-layer F2F stack): the cold point of a perfbench
+/// `dse_sweep` sweep. The other rows reach bisection FM and the
+/// 3-iteration router only on `mini`.
+const GOLDEN_DSE_SWEEP_CLASS: u64 = 18424537092352977578;
 
 fn config(backend: &str) -> FlowConfig {
     let placer = match backend {
@@ -87,4 +95,25 @@ fn small_cache_fingerprints_are_pinned() {
         .map(|&(name, _)| (name, fingerprint(name, &tile, "analytical")))
         .collect();
     assert_eq!(got, GOLDEN_SMALL_CACHE, "golden fingerprints moved");
+}
+
+#[test]
+fn dse_sweep_class_fingerprint_is_pinned() {
+    let tile = generate_tile(&TileConfig {
+        l2_kb: 8,
+        ..TileConfig::small_cache().with_scale(32.0)
+    });
+    let cfg = FlowConfig::builder()
+        .sizing_rounds(2)
+        .placer(PlacerBackend::Bisection)
+        .build()
+        .expect("valid config");
+    let outcome = flow("Macro-3D")
+        .try_run(&tile, &cfg)
+        .expect("flow completes");
+    assert_eq!(
+        ppa_fingerprint(&outcome.ppa),
+        GOLDEN_DSE_SWEEP_CLASS,
+        "golden fingerprint moved"
+    );
 }
