@@ -45,6 +45,14 @@ pub enum ConfigError {
     },
     /// A parallelism chunk size of zero (no work per batch).
     ZeroChunkSize,
+    /// A router search cost that is not finite and > 0 once converted
+    /// to the router's `f32` (see [`macro3d_route::valid_search_cost`]).
+    InvalidCost {
+        /// Offending field.
+        field: &'static str,
+        /// Rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -64,6 +72,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroChunkSize => {
                 write!(f, "parallelism chunk_size must be >= 1")
+            }
+            ConfigError::InvalidCost { field, value } => {
+                write!(f, "{field} must be finite and > 0 as f32, got {value}")
             }
         }
     }
@@ -225,7 +236,8 @@ impl FlowConfigBuilder {
     ///
     /// Returns the first [`ConfigError`] encountered: utilizations
     /// (flow and router) outside `(0, 1]`, zero metal layers, zero or
-    /// negative lengths/periods, or a zero parallelism chunk size.
+    /// negative lengths/periods, a zero parallelism chunk size, or a
+    /// router `via_cost` that is not finite and > 0 as `f32`.
     pub fn build(self) -> Result<FlowConfig, ConfigError> {
         let cfg = self.cfg;
         for (field, value) in [
@@ -262,6 +274,12 @@ impl FlowConfigBuilder {
         }
         if cfg.parallelism.chunk_size == 0 || cfg.route.parallelism.chunk_size == 0 {
             return Err(ConfigError::ZeroChunkSize);
+        }
+        if !macro3d_route::valid_search_cost(cfg.route.via_cost) {
+            return Err(ConfigError::InvalidCost {
+                field: "route.via_cost",
+                value: cfg.route.via_cost,
+            });
         }
         Ok(cfg)
     }
@@ -353,6 +371,51 @@ mod tests {
             FlowConfig::builder().route(route).build().unwrap_err(),
             ConfigError::ZeroChunkSize
         );
+    }
+
+    /// NaN would block every A* via step and poison the pattern costs.
+    #[test]
+    fn rejects_nan_via_cost() {
+        let route = RouteConfig {
+            via_cost: f64::NAN,
+            ..RouteConfig::default()
+        };
+        let err = FlowConfig::builder().route(route).build().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ConfigError::InvalidCost {
+                    field: "route.via_cost",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    /// Negative, zero, and values that reach the router's `f32` as 0
+    /// or infinity are rejected; the default passes.
+    #[test]
+    fn rejects_negative_via_cost() {
+        for bad in [-1.0, 0.0, 1e-60, 1e60, f64::INFINITY] {
+            let route = RouteConfig {
+                via_cost: bad,
+                ..RouteConfig::default()
+            };
+            let err = FlowConfig::builder().route(route).build().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::InvalidCost { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("route.via_cost"), "{err}");
+        }
+        assert!(FlowConfig::builder()
+            .route(RouteConfig {
+                via_cost: 1e30,
+                ..RouteConfig::default()
+            })
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -39,11 +39,11 @@
 //! assert!(p.wire_cap_ff > 15.0); // 100 um of M1 at 0.2 fF/um
 //! ```
 
+use macro3d_geom::idhash::IdHashMap;
 use macro3d_geom::Point;
 use macro3d_route::RoutedNet;
 use macro3d_tech::stack::MetalStack;
 use macro3d_tech::Corner;
-use std::collections::HashMap;
 
 /// Extracted parasitics of one net.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -104,7 +104,7 @@ pub fn extract_net(
     while head < order.len() {
         let u = order[head];
         head += 1;
-        for &(v, r) in &tree.adj[u] {
+        for &(v, r) in tree.neighbours(u) {
             if !seen[v] {
                 seen[v] = true;
                 parent[v] = Some((u, r));
@@ -232,63 +232,94 @@ pub fn diff_parasitics(old: &[NetParasitics], new: &[NetParasitics]) -> DeltaRep
     rep
 }
 
-/// The RC tree of a routed net.
+/// The RC tree of a routed net. Nodes are numbered in first-touch
+/// order over the segments, then the vias; each node lists its
+/// neighbours in element order (a CSR over the element list).
 struct RcTree {
     nodes: Vec<(u16, Point)>,
     cap: Vec<f64>,
-    adj: Vec<Vec<(usize, f64)>>,
+    /// CSR offsets into `adj`, one range per node.
+    adj_offsets: Vec<u32>,
+    adj: Vec<(usize, f64)>,
     total_res: f64,
-    index: HashMap<(u16, i64, i64), usize>,
 }
 
 impl RcTree {
     fn build(stack: &MetalStack, route: &RoutedNet, corner: Corner) -> Self {
+        let elements = route.segments.len() + route.vias.len();
         let mut tree = RcTree {
-            nodes: Vec::new(),
-            cap: Vec::new(),
+            nodes: Vec::with_capacity(elements + 1),
+            cap: Vec::with_capacity(elements + 1),
+            adj_offsets: Vec::new(),
             adj: Vec::new(),
             total_res: 0.0,
-            index: HashMap::new(),
         };
+        // `(layer, x, y)` → node; looked up only, never iterated, so
+        // its hasher cannot reorder the nodes
+        let mut index: IdHashMap<(u16, i64, i64), usize> =
+            IdHashMap::with_capacity_and_hasher(elements + 1, Default::default());
+        let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(elements);
         let r_derate = corner.wire_r_derate();
         for s in &route.segments {
             let layer = &stack.layers()[s.layer as usize];
             let len = s.length_um();
             let r = len * layer.r_per_um * r_derate;
             let c = len * layer.c_per_um;
-            let a = tree.node(s.layer, s.from);
-            let b = tree.node(s.layer, s.to);
+            let a = tree.node(&mut index, s.layer, s.from);
+            let b = tree.node(&mut index, s.layer, s.to);
             tree.cap[a] += c / 2.0;
             tree.cap[b] += c / 2.0;
-            tree.adj[a].push((b, r));
-            tree.adj[b].push((a, r));
+            edges.push((a, b, r));
             tree.total_res += r;
         }
         for v in &route.vias {
             let def = stack.via(v.layer as usize);
-            let a = tree.node(v.layer, v.at);
-            let b = tree.node(v.layer + 1, v.at);
+            let a = tree.node(&mut index, v.layer, v.at);
+            let b = tree.node(&mut index, v.layer + 1, v.at);
             tree.cap[a] += def.capacitance / 2.0;
             tree.cap[b] += def.capacitance / 2.0;
             let r = def.resistance * r_derate;
-            tree.adj[a].push((b, r));
-            tree.adj[b].push((a, r));
+            edges.push((a, b, r));
             tree.total_res += r;
         }
+        // each element adds (b, r) to a's list, then (a, r) to b's
+        let n = tree.nodes.len();
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b, _) in &edges {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        tree.adj = vec![(0, 0.0); offsets[n] as usize];
+        for &(a, b, r) in &edges {
+            tree.adj[cursor[a] as usize] = (b, r);
+            cursor[a] += 1;
+            tree.adj[cursor[b] as usize] = (a, r);
+            cursor[b] += 1;
+        }
+        tree.adj_offsets = offsets;
         tree
     }
 
-    fn node(&mut self, layer: u16, p: Point) -> usize {
-        let key = (layer, p.x.0, p.y.0);
-        if let Some(&n) = self.index.get(&key) {
-            return n;
-        }
-        let n = self.nodes.len();
-        self.nodes.push((layer, p));
-        self.cap.push(0.0);
-        self.adj.push(Vec::new());
-        self.index.insert(key, n);
-        n
+    fn node(
+        &mut self,
+        index: &mut IdHashMap<(u16, i64, i64), usize>,
+        layer: u16,
+        p: Point,
+    ) -> usize {
+        *index.entry((layer, p.x.0, p.y.0)).or_insert_with(|| {
+            self.nodes.push((layer, p));
+            self.cap.push(0.0);
+            self.nodes.len() - 1
+        })
+    }
+
+    /// `(neighbour, resistance)` of node `u`, in element order.
+    fn neighbours(&self, u: usize) -> &[(usize, f64)] {
+        &self.adj[self.adj_offsets[u] as usize..self.adj_offsets[u + 1] as usize]
     }
 
     fn nearest(&self, p: Point) -> usize {
@@ -324,6 +355,174 @@ mod tests {
             layer,
             from: Point::from_um(x0, y0),
             to: Point::from_um(x1, y1),
+        }
+    }
+
+    /// The SipHash-indexed, `Vec<Vec<_>>`-adjacency tree with a linear
+    /// `nearest` that [`RcTree`] replaced, kept as its oracle.
+    struct RcTreeReference {
+        nodes: Vec<(u16, Point)>,
+        cap: Vec<f64>,
+        adj: Vec<Vec<(usize, f64)>>,
+        total_res: f64,
+        index: std::collections::HashMap<(u16, i64, i64), usize>,
+    }
+
+    impl RcTreeReference {
+        fn build(stack: &MetalStack, route: &RoutedNet, corner: Corner) -> Self {
+            let mut tree = RcTreeReference {
+                nodes: Vec::new(),
+                cap: Vec::new(),
+                adj: Vec::new(),
+                total_res: 0.0,
+                index: Default::default(),
+            };
+            let r_derate = corner.wire_r_derate();
+            for s in &route.segments {
+                let layer = &stack.layers()[s.layer as usize];
+                let len = s.length_um();
+                let r = len * layer.r_per_um * r_derate;
+                let c = len * layer.c_per_um;
+                let a = tree.node(s.layer, s.from);
+                let b = tree.node(s.layer, s.to);
+                tree.cap[a] += c / 2.0;
+                tree.cap[b] += c / 2.0;
+                tree.adj[a].push((b, r));
+                tree.adj[b].push((a, r));
+                tree.total_res += r;
+            }
+            for v in &route.vias {
+                let def = stack.via(v.layer as usize);
+                let a = tree.node(v.layer, v.at);
+                let b = tree.node(v.layer + 1, v.at);
+                tree.cap[a] += def.capacitance / 2.0;
+                tree.cap[b] += def.capacitance / 2.0;
+                let r = def.resistance * r_derate;
+                tree.adj[a].push((b, r));
+                tree.adj[b].push((a, r));
+                tree.total_res += r;
+            }
+            tree
+        }
+
+        fn node(&mut self, layer: u16, p: Point) -> usize {
+            let key = (layer, p.x.0, p.y.0);
+            if let Some(&n) = self.index.get(&key) {
+                return n;
+            }
+            let n = self.nodes.len();
+            self.nodes.push((layer, p));
+            self.cap.push(0.0);
+            self.adj.push(Vec::new());
+            self.index.insert(key, n);
+            n
+        }
+
+        fn nearest(&self, p: Point) -> usize {
+            let mut best = 0;
+            let mut best_d = i64::MAX;
+            for (i, (_, q)) in self.nodes.iter().enumerate() {
+                let d = p.manhattan(*q).0;
+                if d < best_d {
+                    best_d = d;
+                    best = i;
+                }
+            }
+            best
+        }
+    }
+
+    /// A random route on a coarse lattice: wires between lattice
+    /// points (zero-length and repeated ones included) and vias at
+    /// lattice points, so nodes are shared between elements and
+    /// stacked across layers at one point.
+    fn random_route(rng: &mut rand::rngs::SmallRng, layers: u16) -> RoutedNet {
+        use rand::Rng;
+        fn at(rng: &mut rand::rngs::SmallRng) -> Point {
+            Point::from_um(
+                rng.gen_range(0..8i64) as f64 * 10.0,
+                rng.gen_range(0..8i64) as f64 * 10.0,
+            )
+        }
+        let mut net = RoutedNet::default();
+        let (n_seg, n_via) = (rng.gen_range(0..40usize), rng.gen_range(0..20usize));
+        for _ in 0..n_seg {
+            let from = at(rng);
+            let mut to = at(rng);
+            // route segments are axis-parallel
+            if to.x != from.x && to.y != from.y {
+                to.y = from.y;
+            }
+            net.segments.push(RouteSeg {
+                layer: rng.gen_range(0..layers),
+                from,
+                to,
+            });
+        }
+        for _ in 0..n_via {
+            net.vias.push(Via {
+                layer: rng.gen_range(0..layers - 1),
+                at: at(rng),
+            });
+        }
+        net
+    }
+
+    /// `RcTree` against the reference on random routes: the same nodes
+    /// in the same order, bit-identical caps, resistances and neighbour
+    /// lists, and the same `nearest` node for queries at and between
+    /// lattice points — where several nodes are equidistant, the first
+    /// in insertion order must win.
+    #[test]
+    fn rc_tree_matches_the_reference_tree() {
+        use rand::{Rng, SeedableRng};
+        let stack = n28_stack(6, DieRole::Logic);
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let route = random_route(&mut rng, 6);
+            let corner = if seed % 2 == 0 {
+                Corner::Tt
+            } else {
+                Corner::Ss
+            };
+            let fast = RcTree::build(&stack, &route, corner);
+            let slow = RcTreeReference::build(&stack, &route, corner);
+            assert_eq!(fast.nodes, slow.nodes, "seed {seed}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.cap), bits(&slow.cap), "seed {seed}");
+            assert_eq!(fast.total_res.to_bits(), slow.total_res.to_bits());
+            for (u, want) in slow.adj.iter().enumerate() {
+                let got: Vec<_> = fast
+                    .neighbours(u)
+                    .iter()
+                    .map(|&(v, r)| (v, r.to_bits()))
+                    .collect();
+                let want: Vec<_> = want.iter().map(|&(v, r)| (v, r.to_bits())).collect();
+                assert_eq!(got, want, "seed {seed} node {u}");
+            }
+            if slow.nodes.is_empty() {
+                continue;
+            }
+            for _ in 0..50 {
+                // half-lattice steps: midpoints are equidistant from
+                // their lattice neighbours
+                let q = Point::from_um(
+                    rng.gen_range(-2..16i64) as f64 * 5.0,
+                    rng.gen_range(-2..16i64) as f64 * 5.0,
+                );
+                assert_eq!(fast.nearest(q), slow.nearest(q), "seed {seed} at {q:?}");
+            }
+            let sinks: Vec<(Point, f64)> = (0..4)
+                .map(|_| {
+                    let p = Point::from_um(
+                        rng.gen_range(0..15i64) as f64 * 5.0,
+                        rng.gen_range(0..15i64) as f64 * 5.0,
+                    );
+                    (p, 1.5)
+                })
+                .collect();
+            let p = extract_net(&stack, &route, sinks[0].0, &sinks[1..], corner);
+            assert!(p.elmore_ps.iter().all(|d| d.is_finite() && *d >= 0.0));
         }
     }
 

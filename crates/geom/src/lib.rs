@@ -5,7 +5,8 @@
 //! placement, routing, extraction) operate on the primitives defined
 //! here: integer database-unit coordinates ([`Dbu`]), points, sizes,
 //! axis-aligned rectangles, orientations, half-open intervals, uniform
-//! bin grids and a simple spatial index.
+//! bin grids, a simple spatial index, and a fast hasher for maps keyed
+//! by ids and coordinates ([`idhash`]).
 //!
 //! Coordinates are stored as `i64` database units with 1 DBU = 1 nm,
 //! which comfortably covers multi-millimetre dies without overflow and
@@ -27,6 +28,7 @@
 
 pub mod coord;
 pub mod grid;
+pub mod idhash;
 pub mod index;
 pub mod interval;
 pub mod orient;

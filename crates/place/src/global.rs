@@ -21,10 +21,10 @@ use crate::hpwl::pin_position;
 use crate::partition::{bipartition, FmConfig, Hypergraph};
 use crate::placement::Placement;
 use crate::ports::PortPlan;
+use macro3d_geom::idhash::{IdHashMap, IdHashSet};
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_par::{parallel_join, Parallelism};
-use std::collections::HashMap;
 
 /// Which global-placement engine runs (both honour the same
 /// determinism contract and the same [`GlobalPlaceConfig`] fields
@@ -148,7 +148,7 @@ pub(crate) fn bisection_place(
         &ctx,
         fp.die(),
         movable,
-        HashMap::new(),
+        IdHashMap::default(),
         cfg.parallelism.effective_threads(),
         0,
     );
@@ -178,12 +178,14 @@ struct PlaceCtx<'a> {
 /// region that shares a (small) net with one inside; macros and ports
 /// are resolved through `ctx.base`. `budget` is the thread budget for
 /// this subtree (see [`parallel_join`]); `depth` is the bisection
-/// level, used only for trace span names.
+/// level, used only for trace span names. The id-hashed maps of this
+/// module are only ever looked up, never iterated, so their hasher
+/// cannot reorder anything.
 fn place_region(
     ctx: &PlaceCtx,
     region: Rect,
     cells: Vec<InstId>,
-    ext: HashMap<InstId, Point>,
+    ext: IdHashMap<InstId, Point>,
     budget: usize,
     depth: usize,
 ) -> Vec<(InstId, Point)> {
@@ -207,7 +209,8 @@ fn place_region(
 
     let mut cells_a = Vec::new();
     let mut cells_b = Vec::new();
-    let mut side_of: HashMap<InstId, u8> = HashMap::with_capacity(cells.len());
+    let mut side_of: IdHashMap<InstId, u8> =
+        IdHashMap::with_capacity_and_hasher(cells.len(), Default::default());
     for (k, &c) in cells.iter().enumerate() {
         side_of.insert(c, side[k]);
         if side[k] == 0 {
@@ -240,12 +243,12 @@ fn place_region(
 fn child_ext(
     ctx: &PlaceCtx,
     cells: &[InstId],
-    side_of: &HashMap<InstId, u8>,
+    side_of: &IdHashMap<InstId, u8>,
     my_side: u8,
     sibling_center: Point,
-    parent_ext: &HashMap<InstId, Point>,
-) -> HashMap<InstId, Point> {
-    let mut ext = HashMap::new();
+    parent_ext: &IdHashMap<InstId, Point>,
+) -> IdHashMap<InstId, Point> {
+    let mut ext = IdHashMap::default();
     for &c in cells {
         for &n in &ctx.inst_nets[c.index()] {
             for &p in &ctx.design.net(n).pins {
@@ -325,7 +328,7 @@ fn right_rect(region: Rect, horizontal: bool, cut: Dbu) -> Rect {
 
 fn partition_cells(
     ctx: &PlaceCtx,
-    ext: &HashMap<InstId, Point>,
+    ext: &IdHashMap<InstId, Point>,
     cells: &[InstId],
     horizontal: bool,
     rect_a: Rect,
@@ -333,7 +336,8 @@ fn partition_cells(
 ) -> Vec<u8> {
     let design = ctx.design;
     // local indexing
-    let mut local_of = std::collections::HashMap::with_capacity(cells.len());
+    let mut local_of: IdHashMap<InstId, u32> =
+        IdHashMap::with_capacity_and_hasher(cells.len(), Default::default());
     let mut areas = Vec::with_capacity(cells.len());
     for (k, &c) in cells.iter().enumerate() {
         local_of.insert(c, k as u32);
@@ -342,13 +346,14 @@ fn partition_cells(
     let mut builder = Hypergraph::builder(areas);
 
     // collect incident nets once
-    let mut seen = std::collections::HashSet::new();
+    let mut seen: IdHashSet<NetId> = IdHashSet::default();
+    let mut local = Vec::new();
     for &c in cells {
         for &n in &ctx.inst_nets[c.index()] {
             if !seen.insert(n) {
                 continue;
             }
-            let mut local = Vec::new();
+            local.clear();
             let mut ext_sum = 0.0f64;
             let mut ext_cnt = 0usize;
             for &p in &design.net(n).pins {
@@ -394,7 +399,7 @@ fn partition_cells(
 /// Position of a pin outside the current region: cell pins use the
 /// fork-time estimate snapshot; port and macro pins their fixed
 /// locations.
-fn external_pin_pos(ctx: &PlaceCtx, ext: &HashMap<InstId, Point>, pin: PinRef) -> Point {
+fn external_pin_pos(ctx: &PlaceCtx, ext: &IdHashMap<InstId, Point>, pin: PinRef) -> Point {
     match pin {
         PinRef::Port(_) => pin_position(ctx.design, &ctx.base, ctx.ports, pin),
         PinRef::Inst { inst, .. } => match ctx.design.inst(inst).master {

@@ -39,7 +39,8 @@ pub struct RouteConfig {
     pub utilization: f64,
     /// Rip-up and re-route iterations.
     pub iterations: usize,
-    /// Cost of one via transition (in GCell-step units).
+    /// Cost of one via transition (in GCell-step units). The router
+    /// searches in `f32`, where it must be finite and > 0.
     pub via_cost: f64,
     /// Nets with more pins than this are skipped (pre-CTS clock nets
     /// are routed by CTS instead).
@@ -97,6 +98,15 @@ pub enum RouteConfigError {
     },
     /// `iterations` was zero (the router must run at least one pass).
     ZeroIterations,
+    /// A search cost that is not finite and > 0 once converted to the
+    /// router's `f32` (NaN, negative, zero, underflowing or
+    /// overflowing values).
+    InvalidCost {
+        /// Offending field.
+        field: &'static str,
+        /// Rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for RouteConfigError {
@@ -110,6 +120,9 @@ impl fmt::Display for RouteConfigError {
             }
             RouteConfigError::ZeroIterations => {
                 write!(f, "iterations must be >= 1")
+            }
+            RouteConfigError::InvalidCost { field, value } => {
+                write!(f, "{field} must be finite and > 0 as f32, got {value}")
             }
         }
     }
@@ -158,7 +171,8 @@ impl RouteConfigBuilder {
         self
     }
 
-    /// Cost of one via transition, in GCell-step units.
+    /// Cost of one via transition, in GCell-step units (finite and
+    /// > 0 as `f32`).
     pub fn via_cost(mut self, cost: f64) -> Self {
         self.cfg.via_cost = cost;
         self
@@ -189,7 +203,8 @@ impl RouteConfigBuilder {
     ///
     /// Returns the first [`RouteConfigError`] encountered: a
     /// non-positive (or NaN) `gcell_um`, a `utilization` outside
-    /// `(0, 1]`, or zero `iterations`.
+    /// `(0, 1]`, zero `iterations`, or a `via_cost` that is not
+    /// finite and > 0 as `f32`.
     pub fn build(self) -> Result<RouteConfig, RouteConfigError> {
         let cfg = self.cfg;
         if cfg.gcell_um.is_nan() || cfg.gcell_um <= 0.0 {
@@ -206,8 +221,23 @@ impl RouteConfigBuilder {
         if cfg.iterations == 0 {
             return Err(RouteConfigError::ZeroIterations);
         }
+        if !valid_search_cost(cfg.via_cost) {
+            return Err(RouteConfigError::InvalidCost {
+                field: "via_cost",
+                value: cfg.via_cost,
+            });
+        }
         Ok(cfg)
     }
+}
+
+/// Whether `cost` is usable as a search cost: finite and > 0 after
+/// the `f32` conversion the router applies. NaN would block every
+/// step it prices, a negative cost would make edge costs negative,
+/// and an infinite one blocks vias outright.
+pub fn valid_search_cost(cost: f64) -> bool {
+    let c = cost as f32;
+    c.is_finite() && c > 0.0
 }
 
 /// A pin handed to the router: location plus routing-stack layer.
@@ -839,6 +869,75 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("gcell_um") && msg.contains("-2"), "{msg}");
+    }
+
+    /// NaN would block every A* via step and poison the pattern costs.
+    #[test]
+    fn builder_rejects_nan_via_cost() {
+        assert_eq!(
+            RouteConfig::builder()
+                .via_cost(f64::NAN)
+                .build()
+                .unwrap_err()
+                .to_string(),
+            "via_cost must be finite and > 0 as f32, got NaN"
+        );
+    }
+
+    /// A negative cost would make edge costs negative; zero, and
+    /// values that reach `f32` as 0 or infinity, are rejected too.
+    #[test]
+    fn builder_rejects_negative_via_cost() {
+        for bad in [-2.0, -0.0, 0.0, 1e-60, 1e60, f64::INFINITY] {
+            assert!(
+                matches!(
+                    RouteConfig::builder().via_cost(bad).build().unwrap_err(),
+                    RouteConfigError::InvalidCost {
+                        field: "via_cost",
+                        ..
+                    }
+                ),
+                "{bad}"
+            );
+        }
+        for good in [1e-30, 0.5, 2.0, 1e30] {
+            assert!(RouteConfig::builder().via_cost(good).build().is_ok());
+        }
+    }
+
+    /// A via cost the builder accepts can still push a dirty pattern's
+    /// cost past what `to_millis` represents: its `u64` bound then
+    /// saturates instead of overflowing (a panic in test builds, and a
+    /// bound of 7 that prunes every state in release).
+    #[test]
+    fn huge_via_cost_saturates_the_pattern_bound() {
+        let stack = n28_stack(4, DieRole::Logic);
+        let cfg = RouteConfig::builder()
+            .via_cost(1e30)
+            .utilization(0.02)
+            .iterations(1)
+            .parallelism(Parallelism::serial().with_chunk_size(1))
+            .build()
+            .expect("finite and > 0 as f32");
+        // identical L-shaped nets over a starved grid, committed one at
+        // a time: once the first few fill every candidate corridor,
+        // each pattern goes dirty
+        let nets: Vec<(NetId, Vec<RoutePin>)> = (0..30u32)
+            .map(|i| {
+                (
+                    NetId(i),
+                    vec![
+                        (Point::from_um(10.0, 10.0), 0u16),
+                        (Point::from_um(190.0, 190.0), 0u16),
+                    ],
+                )
+            })
+            .collect();
+        let r = route_once(die(), &stack, &[], &nets, 30, &cfg);
+        assert_eq!(r.nets.iter().filter(|n| n.is_some()).count(), 30);
+        for net in r.nets.iter().flatten() {
+            assert!(!net.vias.is_empty(), "an L-route changes layers");
+        }
     }
 
     #[test]

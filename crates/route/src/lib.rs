@@ -36,7 +36,8 @@ pub mod steiner;
 pub use congestion::{CongestionReport, LayerCongestion};
 pub use gcell::RouteGrid;
 pub use global::{
-    RouteConfig, RouteConfigBuilder, RouteConfigError, RoutePin, RouteRequest, Router,
+    valid_search_cost, RouteConfig, RouteConfigBuilder, RouteConfigError, RoutePin, RouteRequest,
+    Router,
 };
 pub use macro3d_par::Parallelism;
 pub use routed::{RouteSeg, RoutedDesign, RoutedNet, Via};
