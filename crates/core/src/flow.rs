@@ -22,6 +22,7 @@ use macro3d_sta::{
 use macro3d_tech::stack::{DieRole, MetalStack};
 use macro3d_tech::Corner;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration shared by all flows.
@@ -255,8 +256,9 @@ pub struct ImplementedDesign {
     pub fp: Floorplan,
     /// The stack routing ran on (single-die or combined).
     pub stack: MetalStack,
-    /// Routing result.
-    pub routed: RoutedDesign,
+    /// Routing result, shared with the stage cache's route snapshot
+    /// when the run stored or restored one.
+    pub routed: Arc<RoutedDesign>,
     /// The sign-off bump-density count: GCells whose F2F crossings
     /// exceed the `route.f2f_pitch_um` bond-pitch bump capacity
     /// ([`RoutedDesign::f2f_overcrowded_gcells`]; 0 on a single-die
@@ -759,7 +761,8 @@ pub(crate) type FloorplanBuilder =
 /// `reuse` is the worker's stage-artifact view (see [`crate::stage`]):
 /// a matched floorplan or place prefix re-enters the flow downstream
 /// of it on a deep clone of the previous run's snapshot, and every
-/// cold stage stores its snapshot for the next run.
+/// cold stage stores its snapshot for the next run. The clone of a
+/// restored place snapshot is timed as `place_reused`.
 ///
 /// # Errors
 ///
@@ -778,9 +781,9 @@ pub(crate) fn run_direct(
     let constraints = sta_constraints(tile);
     let placed = match reuse.as_deref().and_then(StageReuse::place_snap) {
         Some(snap) => {
+            timer.mark("floorplan");
             // the design already carries repeaters and clock buffers
             let placed = PlaceSnap::clone(&snap);
-            timer.mark("floorplan");
             timer.mark("place_reused");
             placed
         }
@@ -866,11 +869,12 @@ pub(crate) fn signoff_input<'a>(
 ///
 /// `reuse` is the per-worker stage-artifact view (see
 /// [`crate::stage`]): when the matched key prefix covers the route
-/// and/or extract boundaries, those stages restore a deep clone of
-/// the previous run's snapshot instead of recomputing, and a cold
-/// stage stores its boundary snapshot for the next run. Restored
-/// artifacts were snapshotted at the exact same program point of a
-/// cold run, so warm results are bit-identical.
+/// and/or extract boundaries, those stages restore the previous run's
+/// snapshot instead of recomputing (the route by sharing its `Arc`,
+/// the extract state, first sign-off analysis included, by a deep
+/// clone), and a cold stage stores its boundary snapshot for the next
+/// run. Restored artifacts were snapshotted at the exact same program
+/// point of a cold run, so warm results are bit-identical.
 ///
 /// # Errors
 ///
@@ -900,7 +904,7 @@ pub(crate) fn finish_design(
     let par = cfg.parallelism;
     flow_gate("flow/route")?;
     let routed = match reuse.as_deref().and_then(StageReuse::route_snap) {
-        Some(snap) => snap.routed.clone(),
+        Some(snap) => Arc::clone(&snap.routed),
         None => {
             let mut router = router_for(
                 &design,
@@ -911,7 +915,7 @@ pub(crate) fn finish_design(
                 cfg,
                 macro_pins_projected,
             );
-            let routed = router.route();
+            let routed = Arc::new(router.route());
             if let Some(r) = reuse.as_deref_mut() {
                 r.store_route(&routed);
             }
@@ -950,33 +954,27 @@ pub(crate) fn finish_design(
     // One StaSession keeps the timing graph alive across the sizing
     // loop: each round re-times only the fan-out cones of the nets
     // `apply_sizing_to_parasitics` reports as touched. A cold run
-    // stores the session right after graph build (no converged
-    // state) in the extract slot, so a restored copy is
-    // indistinguishable from a freshly built one.
-    let mut session = match restored {
-        Some(snap) => snap.session.clone(),
+    // stores the session after its first analysis in the extract
+    // slot: every input of that analysis is fixed by the extract key,
+    // so a restored copy and its report are what this point would
+    // compute.
+    let (mut session, mut timing) = match restored {
+        Some(snap) => (snap.session.clone(), snap.timing.clone()),
         None => {
-            let session = StaSession::new(&signoff_input(
-                &design,
-                &parasitics,
-                &routed,
-                &constraints,
-                &clock,
-            ));
+            let input = signoff_input(&design, &parasitics, &routed, &constraints, &clock);
+            let mut session = StaSession::new(&input);
+            let timing = session.analyze(&input, &par);
             if let Some(r) = reuse {
                 r.store_extract(ExtractSnap {
                     parasitics: parasitics.clone(),
                     clock: clock.clone(),
                     session: session.clone(),
+                    timing: timing.clone(),
                 });
             }
-            session
+            (session, timing)
         }
     };
-    let mut timing = session.analyze(
-        &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-        &par,
-    );
     let mut resized: HashSet<InstId> = HashSet::new();
     for round in 0..sizing_rounds {
         // cooperative budget checkpoint: on exhaustion keep the

@@ -60,7 +60,9 @@ pub struct FlowOutcome {
 /// inside an obs session named after the flow, with the config's
 /// budget (and fault plan) installed for the flow thread, and
 /// assembles the [`FlowOutcome`] with the PPA row labelled `label`.
-/// The pseudo-2D flows pass `reuse: None`.
+/// The pseudo-2D flows pass `reuse: None`. A run with `reuse` records
+/// its stage hits and misses in the session
+/// ([`StageReuse::record_obs`]).
 ///
 /// The obs level and metrics registry are process-global, so flows
 /// must run one at a time (they always have: every driver iterates
@@ -78,6 +80,9 @@ fn run_flow(
 ) -> Result<FlowOutcome, FlowError> {
     let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
     let session = Session::start(cfg.obs, name);
+    if let Some(r) = reuse.as_deref() {
+        r.record_obs();
+    }
     let scope = BudgetScope::begin(&cfg.budget, cfg.fault_plan.as_ref());
     let result = implement(reuse);
     let degradation = scope.finish();
@@ -102,8 +107,8 @@ pub trait Flow {
     /// Like [`Flow::try_run`], threading a stage-reuse view through
     /// the flow: with `Some(reuse)`, stages whose chained content
     /// keys match the worker's [`crate::stage::StageCache`] restore
-    /// deep clones of the previous run's boundary artifacts, and
-    /// cold stages store theirs for the next run.
+    /// the previous run's boundary artifacts, and cold stages store
+    /// theirs for the next run.
     /// [`FlowOutcome::reuse_depth`] reports the matched prefix. The
     /// pseudo-2D flows ignore `reuse`.
     ///

@@ -15,14 +15,19 @@
 //!
 //! A worker holds one [`StageCache`] — the artifacts the previous
 //! flow run left at each stage boundary, tagged with that run's
-//! chained keys. The next run compares its own keys against the
-//! cache ([`StageReuse::start_stage`]), deep-clones the artifacts of
+//! chained keys, plus the last tile it generated
+//! ([`StageCache::tile`]). The next run compares its own keys against
+//! the cache ([`StageReuse::start_stage`]), restores the artifacts of
 //! the longest matching prefix, and re-enters the flow at the first
-//! stage whose key changed. Because reuse restores a *clone* of a
-//! boundary snapshot that was itself taken at the same point of a
-//! cold run, a warm run is bit-identical to a cold one by
-//! construction — the determinism contract the DSE sweep tests and
-//! the `sweep-reuse` CI gate hold.
+//! stage whose key changed. A restore copies only what the re-entered
+//! stages mutate: the place snapshot's design and placement and the
+//! extract snapshot's parasitics, clock arrivals and STA session are
+//! deep-cloned, while the routed design, which no later stage edits,
+//! is shared behind its `Arc`. Because every restored artifact equals
+//! a boundary snapshot taken at the same point of a cold run, a warm
+//! run is bit-identical to a cold one by construction — the
+//! determinism contract the DSE sweep tests and the `sweep-reuse` CI
+//! gate hold.
 //!
 //! ## Reuse / invalidation tables
 //!
@@ -38,6 +43,12 @@
 //! | route     | `route` (all fields + chunk size) except `f2f_pitch_um` |
 //! | extract   | — (inputs fully determined by the prefix) |
 //! | sta       | `sizing_rounds`, `route.f2f_pitch_um` |
+//!
+//! The extract snapshot is taken *after* the first sign-off analysis:
+//! that analysis reads only the design, parasitics, route, clock and
+//! constraints the extract key already fixes, and a cold run performs
+//! it at the same program point, so a depth-4 re-entry starts its
+//! sizing loop from the stored session and report.
 //!
 //! The 2D flow builds a `logic_metals`-deep stack and never reads
 //! `macro_metals`, so only the flows that stack a macro die key it.
@@ -77,13 +88,18 @@ use macro3d_netlist::Design;
 use macro3d_par::Parallelism;
 use macro3d_place::{AnalyticalConfig, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RoutedDesign};
-use macro3d_soc::TileConfig;
-use macro3d_sta::{ClockArrivals, ClockTree, CtsConfig, StaSession};
+use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
+use macro3d_sta::{ClockArrivals, ClockTree, CtsConfig, StaSession, TimingReport};
 use macro3d_tech::stack::MetalStack;
 use std::sync::Arc;
 
 /// Number of stages in the flow graph.
 pub const NUM_STAGES: usize = 5;
+
+/// Stages whose boundary artifacts the [`StageCache`] stores: every
+/// stage but the terminal STA stage. A run's stage hits are its
+/// reuse depth, its misses `CACHED_STAGES` minus that depth.
+pub const CACHED_STAGES: usize = NUM_STAGES - 1;
 
 /// One stage of the flow graph, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -100,6 +116,8 @@ pub enum Stage {
     Extract = 3,
     /// STA + sizing + hold fixing + power. Never cached (it is the
     /// terminal stage; identical specs are the `ResultCache`'s job).
+    /// Its first sign-off analysis rides in the extract snapshot, so
+    /// a run that re-enters here starts at the sizing loop.
     Sta = 4,
 }
 
@@ -316,22 +334,29 @@ pub struct PlaceSnap {
 
 /// Route-boundary artifacts: the routed design the downstream stages
 /// consume. It carries no sign-off count — the bump-density check
-/// reruns on every restore under the run's own pitch.
+/// reruns on every restore under the run's own pitch. No later stage
+/// edits a route, so the snapshot, the cold run's
+/// `ImplementedDesign::routed` and every restore share one
+/// allocation.
 pub struct RouteSnap {
     /// The assembled routing result.
-    pub routed: RoutedDesign,
+    pub routed: Arc<RoutedDesign>,
 }
 
-/// Extract-boundary artifacts. `session` is the STA session
-/// snapshotted right after graph build (before any analysis), so
-/// restoring it is indistinguishable from building it fresh.
+/// Extract-boundary artifacts, snapshotted after the first sign-off
+/// analysis. That analysis reads only inputs the extract key fixes,
+/// so a restored `session` and `timing` are exactly what a cold run
+/// holds when its sizing loop starts.
 pub struct ExtractSnap {
     /// Sign-off-corner parasitics for every net.
     pub parasitics: Vec<NetParasitics>,
     /// Clock arrival times under the extracted tree.
     pub clock: ClockArrivals,
-    /// Freshly-built timing session (graph only, no converged state).
+    /// The timing session after the first sign-off analysis (graph
+    /// built, converged state present).
     pub session: StaSession,
+    /// The report of that analysis.
+    pub timing: TimingReport,
 }
 
 enum Artifact {
@@ -343,11 +368,13 @@ enum Artifact {
 
 /// One worker's stage-boundary artifact store: the last run's
 /// snapshot per stage, tagged with the chained key it was produced
-/// under. Purely in-memory and single-owner (each DSE worker owns
-/// one); nothing here is ever persisted.
+/// under, and the last tile it generated. Purely in-memory and
+/// single-owner (each DSE worker owns one); nothing here is ever
+/// persisted.
 #[derive(Default)]
 pub struct StageCache {
     slots: [Option<(u64, Artifact)>; NUM_STAGES],
+    tile: Option<(TileConfig, Arc<TileNetlist>)>,
 }
 
 impl StageCache {
@@ -356,9 +383,27 @@ impl StageCache {
         StageCache::default()
     }
 
-    /// Drops every stored artifact.
+    /// Drops every stored artifact and the held tile.
     pub fn clear(&mut self) {
-        self.slots = Default::default();
+        *self = StageCache::default();
+    }
+
+    /// The tile `cfg` generates: the held one when `cfg` equals the
+    /// config it was generated from, else a fresh one, which replaces
+    /// it. The old tile is released before generation starts, so a
+    /// worker holds at most one. Flows only read a tile, and
+    /// generation is a pure function of its config, so a held tile is
+    /// the one a fresh generation would return.
+    pub fn tile(&mut self, cfg: &TileConfig) -> Arc<TileNetlist> {
+        if let Some((held, tile)) = &self.tile {
+            if held == cfg {
+                return Arc::clone(tile);
+            }
+        }
+        self.tile = None;
+        let tile = Arc::new(generate_tile(cfg));
+        self.tile = Some((cfg.clone(), Arc::clone(&tile)));
+        tile
     }
 }
 
@@ -380,8 +425,8 @@ pub struct StageReuse<'a> {
 impl<'a> StageReuse<'a> {
     /// Prepares reuse for one run, or `None` when stage caching is
     /// unsafe for this config (active budget or fault plan — see the
-    /// module docs). Computes the matched prefix depth up front and
-    /// bumps the obs counters.
+    /// module docs). Computes the matched prefix depth up front; the
+    /// flow records it in its obs session.
     pub fn begin(
         cache: &'a mut StageCache,
         flow: &str,
@@ -395,17 +440,24 @@ impl<'a> StageReuse<'a> {
         // the longest prefix of slots whose stored chained keys match
         // this run's expected keys (the Sta slot is never stored)
         let mut start = 0;
-        for (i, slot) in cache.slots.iter().enumerate().take(NUM_STAGES - 1) {
+        for (i, slot) in cache.slots.iter().enumerate().take(CACHED_STAGES) {
             match slot {
                 Some((key, _)) if *key == keys.prefix[i] => start = i + 1,
                 _ => break,
             }
         }
-        REUSE_RUNS.inc();
-        REUSE_DEPTH.add(start as u64);
-        STAGE_HITS.add(start as u64);
-        STAGE_MISSES.add((NUM_STAGES - start) as u64);
         Some(StageReuse { cache, keys, start })
+    }
+
+    /// Bumps the `stage/*` obs counters for this run: one reuse run,
+    /// its depth as hits, and the cacheable stages it executes as
+    /// misses (the count `DseStats` keeps). Call it inside the flow's
+    /// obs session, which resets the registry when it starts.
+    pub(crate) fn record_obs(&self) {
+        REUSE_RUNS.inc();
+        REUSE_DEPTH.add(self.start as u64);
+        STAGE_HITS.add(self.start as u64);
+        STAGE_MISSES.add((CACHED_STAGES - self.start) as u64);
     }
 
     /// The first stage this run must execute — equivalently the
@@ -480,18 +532,19 @@ impl<'a> StageReuse<'a> {
         self.store(Stage::Place, Artifact::Place(Arc::new(snap)));
     }
 
-    /// Stores the route-boundary snapshot.
-    pub fn store_route(&mut self, routed: &RoutedDesign) {
+    /// Stores the route-boundary snapshot: a second handle on
+    /// `routed`, not a copy.
+    pub fn store_route(&mut self, routed: &Arc<RoutedDesign>) {
         self.store(
             Stage::Route,
             Artifact::Route(Arc::new(RouteSnap {
-                routed: routed.clone(),
+                routed: Arc::clone(routed),
             })),
         );
     }
 
-    /// Stores the extract-boundary snapshot, once the STA session is
-    /// built.
+    /// Stores the extract-boundary snapshot, once the first sign-off
+    /// analysis has run.
     pub fn store_extract(&mut self, snap: ExtractSnap) {
         self.store(Stage::Extract, Artifact::Extract(Arc::new(snap)));
     }
@@ -630,6 +683,35 @@ mod tests {
         let c = stage_keys("Macro-3D", &tile, &cfg);
         let d = stage_keys("Macro-3D", &tile, &sized);
         assert_eq!(c.key(Stage::Extract), d.key(Stage::Extract));
+    }
+
+    #[test]
+    fn tile_slot_holds_one_tile_per_config() {
+        let mut cache = StageCache::new();
+        let mini = TileConfig::mini();
+        let first = cache.tile(&mini);
+        assert!(
+            Arc::ptr_eq(&first, &cache.tile(&mini.clone())),
+            "an equal config reuses the held tile"
+        );
+
+        let held = Arc::downgrade(&first);
+        drop(first);
+        let reseeded = TileConfig {
+            seed: mini.seed + 1,
+            ..mini.clone()
+        };
+        let second = cache.tile(&reseeded);
+        assert!(held.upgrade().is_none(), "the old tile was not released");
+        let fresh = generate_tile(&reseeded);
+        assert_eq!(second.constraints, fresh.constraints);
+        assert_eq!(second.design.num_insts(), fresh.design.num_insts());
+        assert_eq!(second.design.num_nets(), fresh.design.num_nets());
+
+        let held = Arc::downgrade(&second);
+        drop(second);
+        cache.clear();
+        assert!(held.upgrade().is_none(), "clear() kept the tile");
     }
 
     #[test]

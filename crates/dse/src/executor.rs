@@ -28,6 +28,7 @@
 
 use crate::cache::{CacheStats, CachedResult, ResultCache};
 use crate::{flow_by_name, JobSpec};
+use macro3d::stage::CACHED_STAGES;
 use macro3d::{DegradationReport, FlowTrace, PpaResult};
 use macro3d_soc::generate_tile;
 use std::collections::{HashMap, VecDeque};
@@ -50,10 +51,11 @@ pub struct DseConfig {
     /// Persist results here; `None` keeps the cache in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Give each worker a [`macro3d::StageCache`] so consecutive jobs
-    /// sharing a stage-key prefix re-enter the flow mid-way (see
-    /// `macro3d::stage`). Off = every job runs fully cold. Results
-    /// are bit-identical either way; this only trades memory for
-    /// wall-clock.
+    /// sharing a stage-key prefix re-enter the flow mid-way, and jobs
+    /// on the same tile share one generated netlist (see
+    /// `macro3d::stage`). Off = every job generates its tile and runs
+    /// fully cold. Results are bit-identical either way; this only
+    /// trades memory for wall-clock.
     pub stage_reuse: bool,
 }
 
@@ -507,7 +509,7 @@ impl DseClient {
 
 fn worker_loop(inner: &Inner, me: usize) {
     // worker-local stage cache: one previous run's boundary artifacts,
-    // keyed by chained stage keys (see macro3d::stage)
+    // keyed by chained stage keys, and its tile (see macro3d::stage)
     let mut stage_cache = macro3d::StageCache::new();
     loop {
         let (id, spec) = {
@@ -615,9 +617,11 @@ fn run_one(
 
 /// The cold path: generate the tile and run the flow, isolated by
 /// `catch_unwind` and serialized against other obs-enabled jobs. The
-/// worker's stage cache (when enabled) lets the flow re-enter after
+/// worker's stage cache (when enabled) supplies the tile, generated
+/// once per distinct `TileConfig`, and lets the flow re-enter after
 /// its longest key-matched stage prefix; a panic mid-run is safe —
-/// cache slots are only written at completed stage boundaries.
+/// cache slots are only written at completed stage boundaries, and a
+/// held tile is never written.
 fn execute_flow(
     inner: &Inner,
     spec: &JobSpec,
@@ -636,24 +640,26 @@ fn execute_flow(
     let stage_reuse = inner.cfg.stage_reuse;
     let started = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let tile = generate_tile(&spec.tile);
-        let mut reuse = if stage_reuse {
-            macro3d::StageReuse::begin(stage_cache, &spec.flow, &spec.tile, &spec.config)
+        let (tile, mut reuse) = if stage_reuse {
+            let tile = stage_cache.tile(&spec.tile);
+            let reuse =
+                macro3d::StageReuse::begin(stage_cache, &spec.flow, &spec.tile, &spec.config);
+            (tile, reuse)
         } else {
-            None
+            (Arc::new(generate_tile(&spec.tile)), None)
         };
         flow.try_run_reusing(&tile, &spec.config, reuse.as_mut())
     }));
     let wall_s = started.elapsed().as_secs_f64();
     match run {
         Ok(Ok(outcome)) => {
-            let cacheable = macro3d::stage::NUM_STAGES - 1; // STA never cached
             inner
                 .stage_hits
                 .fetch_add(outcome.reuse_depth as u64, Ordering::Relaxed);
-            inner
-                .stage_misses
-                .fetch_add((cacheable - outcome.reuse_depth) as u64, Ordering::Relaxed);
+            inner.stage_misses.fetch_add(
+                (CACHED_STAGES - outcome.reuse_depth) as u64,
+                Ordering::Relaxed,
+            );
             Ok(Arc::new(JobResult {
                 spec_key: key.to_string(),
                 ppa: outcome.ppa,

@@ -33,7 +33,7 @@ pub struct StaInput<'a> {
 }
 
 /// Timing analysis result.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimingReport {
     /// Minimum feasible clock period, ps.
     pub min_period_ps: f64,

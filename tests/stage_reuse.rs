@@ -4,8 +4,11 @@
 //! counts, across sweep-point submission orderings, and with reuse
 //! disabled outright. Budget and fault-plan knobs must key every
 //! stage and turn stage caching off entirely. Every route-config
-//! field must change what its stage key says it changes.
+//! field must change what its stage key says it changes. A re-entry
+//! shares the stored route and starts from the stored first sign-off
+//! analysis, which must equal a fresh one.
 
+use macro3d::flow::sta_constraints;
 use macro3d::flows::{Flow, FlowOutcome, Macro3d};
 use macro3d::{
     ppa_fingerprint, stage_keys, FlowConfig, Parallelism, Stage, StageCache, StageReuse,
@@ -14,6 +17,9 @@ use macro3d_dse::sweep::{apply_knob, run_sweep, SweepAxis, SweepSpec};
 use macro3d_dse::{DseConfig, DseService, JobSpec, SweepOutcome};
 use macro3d_route::RouteConfig;
 use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
+use macro3d_sta::{StaInput, StaSession};
+use macro3d_tech::Corner;
+use std::sync::Arc;
 
 /// A spec fast enough to run many times in a debug-mode test.
 fn fast_spec() -> JobSpec {
@@ -312,6 +318,51 @@ fn restored_routes_recount_bumps_under_the_new_pitch() {
         coarse.implemented.f2f_overcrowded_gcells, cold.implemented.f2f_overcrowded_gcells,
         "the warm run kept the restored route's count"
     );
+}
+
+/// A depth-4 re-entry reads the route the cold run stored: the two
+/// runs' implemented designs hold one `RoutedDesign`, not two copies.
+#[test]
+fn sta_re_entries_share_the_cold_route() {
+    let tile = generate_tile(&TileConfig::mini());
+    let mut cache = StageCache::new();
+    let cold = run_reusing(&mut cache, &tile, &fast_spec().config);
+    let mut sized = fast_spec().config;
+    sized.sizing_rounds += 1;
+    let warm = run_reusing(&mut cache, &tile, &sized);
+    assert_eq!((cold.reuse_depth, warm.reuse_depth), (0, 4));
+    assert!(Arc::ptr_eq(
+        &cold.implemented.routed,
+        &warm.implemented.routed
+    ));
+}
+
+/// The extract snapshot carries the first sign-off analysis. Over the
+/// restored snapshots' own inputs, a fresh session and analysis must
+/// report exactly what the snapshot stored.
+#[test]
+fn restored_first_analysis_matches_a_fresh_one() {
+    let tile = generate_tile(&TileConfig::mini());
+    let cfg = fast_spec().config;
+    let mut cache = StageCache::new();
+    run_reusing(&mut cache, &tile, &cfg);
+    let reuse = StageReuse::begin(&mut cache, "Macro-3D", &TileConfig::mini(), &cfg)
+        .expect("no budget or fault plan");
+    assert_eq!(reuse.start_stage(), 4);
+    let placed = reuse.place_snap().expect("place slot");
+    let route = reuse.route_snap().expect("route slot");
+    let extract = reuse.extract_snap().expect("extract slot");
+    let constraints = sta_constraints(&tile);
+    let input = StaInput {
+        design: &placed.design,
+        parasitics: &extract.parasitics,
+        routed: Some(&route.routed),
+        constraints: &constraints,
+        clock: &extract.clock,
+        corner: Corner::signoff(),
+    };
+    let fresh = StaSession::new(&input).analyze(&input, &cfg.parallelism);
+    assert_eq!(extract.timing, fresh);
 }
 
 /// The over-keying guard for the route stage. Every `RouteConfig`
