@@ -4,7 +4,7 @@
 # minute (see perfbench/README.md, "Noise").
 #
 #   ./perf_pairs.sh <parent-rev> [--workload W] [--seed S] [--seconds T]
-#                   [--pairs N]
+#                   [--pairs N] [--trace]
 #
 # The change is the working tree; the parent is <parent-rev>, exported
 # with `git archive` into target/perf_pairs/<sha>/ (a plain tree, so no
@@ -21,6 +21,12 @@
 # (.perfbench/<W>-s<S>-t0.json) matched. Raw result lines land in
 # target/perf_pairs/runs/. Exits non-zero if a run fails, reports an
 # incorrect op, or the fingerprint lists differ.
+#
+# With --trace the pairs run `--trace 1` instead, and the script
+# prints, for each per-layer metric of BENCHMARK.json, each side's
+# median and the median over the pairs of the change/parent ratio
+# (a ratio of two zeros reads 1). The op fingerprints then come from
+# .perfbench/<W>-s<S>-t1.json, and the raw files carry a -t1 tag.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,8 +38,13 @@ usage() {
 [ $# -ge 1 ] || usage
 parent_rev=$1
 shift
-workload=dse_sweep seed=17 seconds=50 pairs=10
+workload=dse_sweep seed=17 seconds=50 pairs=10 trace=0
 while [ $# -gt 0 ]; do
+    if [ "$1" = --trace ]; then
+        trace=1
+        shift
+        continue
+    fi
     [ $# -ge 2 ] || usage
     case $1 in
         --workload) workload=$2 ;;
@@ -65,18 +76,22 @@ for side_dir in "$parent_dir" "$root"; do
     (cd "$side_dir" && cargo build --offline --release --quiet --manifest-path perfbench/Cargo.toml)
 done
 
-# run <side> <dir> <pair>: one timed perfbench run; keeps its result
-# line and a copy of its op-fingerprint record
+# untraced runs keep their untagged file names
+tag=$workload-s$seed
+[ "$trace" = 0 ] || tag=$tag-t1
+
+# run <side> <dir> <pair>: one perfbench run; keeps its result line
+# and a copy of its op-fingerprint record
 run() {
     local side=$1 dir=$2 pair=$3
-    local out=$runs/$workload-s$seed-$side-$pair
+    local out=$runs/$tag-$side-$pair
     (cd "$dir" && ./perfbench/target/release/perfbench --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace 0) > "$out.log" 2> "$out.err" || {
+        --seed "$seed" --seconds "$seconds" --trace "$trace") > "$out.log" 2> "$out.err" || {
         echo "perfbench failed on the $side side, pair $pair (see $out.err)" >&2
         exit 1
     }
     tail -n 1 "$out.log" > "$out.json"
-    cp "$dir/.perfbench/$workload-s$seed-t0.json" "$out.record.json"
+    cp "$dir/.perfbench/$workload-s$seed-t$trace.json" "$out.record.json"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -90,18 +105,47 @@ for pair in $(seq 1 "$pairs"); do
     echo "pair $pair done ($(date +%H:%M:%S))"
 done
 
-python3 - "$runs" "$workload" "$seed" "$pairs" <<'EOF'
+python3 - "$runs" "$workload" "$seed" "$pairs" "$tag" "$trace" <<'EOF'
 import json, statistics, sys
 
-runs, workload, seed, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-better = {m['name']: m['better'] for m in json.load(open('BENCHMARK.json'))['end_to_end']}
+runs, workload, seed, pairs, tag = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
+trace = sys.argv[6] == '1'
+bench = json.load(open('BENCHMARK.json'))
+better = {m['name']: m['better'] for m in bench['end_to_end']}
 names = list(better)
 
 def load(side, pair):
-    base = '%s/%s-s%s-%s-%d' % (runs, workload, seed, side, pair)
+    base = '%s/%s-%s-%d' % (runs, tag, side, pair)
     result = json.load(open(base + '.json'))
     ops = [(o['label'], o['fingerprint']) for o in json.load(open(base + '.record.json'))['ops']]
     return result, ops
+
+if trace:
+    layers = [m['name'] for m in bench['per_layer']]
+    ok = True
+    values = {side: {m: [] for m in layers} for side in ('parent', 'change')}
+    ratios = {m: [] for m in layers}
+    print('\n%s, seed %s, %d traced pairs (parent first in odd pairs)' % (workload, seed, pairs))
+    for pair in range(1, pairs + 1):
+        (p, p_ops), (c, c_ops) = load('parent', pair), load('change', pair)
+        same = p_ops == c_ops
+        ok &= same and p['correct'] and c['correct']
+        for m in layers:
+            pv, cv = p['metrics'][m]['value'], c['metrics'][m]['value']
+            values['parent'][m].append(pv)
+            values['change'][m].append(cv)
+            ratios[m].append(cv / pv if pv else (1.0 if cv == 0 else float('inf')))
+        print('pair %2d  ops %d/%d failed %d/%d  fingerprints %s' % (
+            pair, p['attempted'], c['attempted'], p['failed'], c['failed'],
+            'same' if same else 'DIFFER'))
+    print('\n%-28s %14s %14s  %s' % ('metric', 'parent median', 'change median',
+                                     'change/parent, median of pairs'))
+    for m in layers:
+        pm, cm = statistics.median(values['parent'][m]), statistics.median(values['change'][m])
+        note = '  (identical in every pair)' if values['parent'][m] == values['change'][m] else ''
+        print('%-28s %14.6g %14.6g  %.3f%s' % (m, pm, cm, statistics.median(ratios[m]), note))
+    print('\nop fingerprints: %s' % ('identical in every pair' if ok else 'MISMATCH or failed ops'))
+    sys.exit(0 if ok else 1)
 
 def quartiles(xs):
     if len(xs) < 2:
