@@ -324,6 +324,9 @@ mod tests {
 
     #[test]
     fn histogram_tracks_bounds() {
+        // a concurrent session start or reset would zero the histogram
+        // between the records and the snapshot
+        let _l = lock();
         let h = registry().histogram("test/hist_bounds");
         h.record(5);
         h.record(1);
