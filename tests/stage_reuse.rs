@@ -6,7 +6,8 @@
 //! stage and turn stage caching off entirely. Every route-config
 //! field must change what its stage key says it changes. A re-entry
 //! shares the stored route and starts from the stored first sign-off
-//! analysis, which must equal a fresh one.
+//! analysis, which must equal a fresh one. An STA re-entry must run at
+//! least 3x faster than the same point run cold.
 
 use macro3d::flow::sta_constraints;
 use macro3d::flows::{Flow, FlowOutcome, Macro3d};
@@ -294,6 +295,34 @@ fn pitch_sweeps_re_enter_at_sta() {
     depths.sort_unstable();
     assert_eq!(depths, [0, 4, 4, 4], "a pitch change must not re-route");
     assert_eq!(fingerprints(&warm), fingerprints(&cold));
+}
+
+/// Reuse must pay for itself: on a sizing-only sweep every point after
+/// the first re-enters at STA, and each such point runs at least 3x
+/// faster than the same point run cold.
+#[test]
+fn sta_re_entries_are_at_least_3x_faster_than_cold() {
+    let sweep = SweepSpec {
+        base: JobSpec::new("Macro-3D", TileConfig::mini()),
+        axes: vec![SweepAxis::new("sizing_rounds", &["0", "1", "2", "3"])],
+    };
+    let (cold, _) = run_fresh(&sweep, 1, false);
+    let (warm, _) = run_fresh(&sweep, 1, true);
+    assert_eq!(fingerprints(&warm), fingerprints(&cold));
+    let depths = reuse_depths(&warm);
+    assert!(depths.contains(&4), "no STA re-entry in {depths:?}");
+    for (point, cold_point) in warm.points.iter().zip(&cold.points) {
+        let (w, c) = (point.ok().expect("warm"), cold_point.ok().expect("cold"));
+        if w.reuse_depth > 0 {
+            assert!(
+                c.wall_s >= 3.0 * w.wall_s,
+                "{}: reused {:.4} s against cold {:.4} s",
+                point.label,
+                w.wall_s,
+                c.wall_s
+            );
+        }
+    }
 }
 
 /// A restored route carries no bump-density count: a warm run
