@@ -227,22 +227,8 @@ pub fn cached_sram(
 /// all three flows.
 ///
 /// The pair is `(logic-die placements, macro-die placements)`.
-pub fn cached_mol_floorplan(
-    design: &Design,
-    die: Rect,
-    halo: Dbu,
-    util_macro: f64,
-    halo_um: f64,
-) -> Arc<MolFloorplans> {
-    match try_cached_mol_floorplan(design, die, halo, util_macro, halo_um) {
-        Ok(fp) => fp,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`cached_mol_floorplan`]: packing failures surface as a
-/// typed [`FlowError`](crate::error::FlowError) instead of a panic
-/// (and are not cached — see [`BuildCache::try_get_or_build`]).
+/// Packing failures are not cached (see
+/// [`BuildCache::try_get_or_build`]).
 ///
 /// # Errors
 ///
@@ -371,11 +357,14 @@ mod tests {
         let tile = cached_tile(&TileConfig::small_cache().with_scale(512.0));
         let die = Rect::from_um(0.0, 0.0, 2000.0, 2000.0);
         let halo = Dbu::from_um(2.0);
-        let a = cached_mol_floorplan(&tile.design, die, halo, 0.85, 2.0);
-        let b = cached_mol_floorplan(&tile.design, die, halo, 0.85, 2.0);
+        let seed = |util_macro| {
+            try_cached_mol_floorplan(&tile.design, die, halo, util_macro, 2.0).expect("packs")
+        };
+        let a = seed(0.85);
+        let b = seed(0.85);
         assert!(Arc::ptr_eq(&a, &b));
         // a different utilization is a different seed
-        let c = cached_mol_floorplan(&tile.design, die, halo, 0.5, 2.0);
+        let c = seed(0.5);
         assert!(!Arc::ptr_eq(&a, &c));
     }
 

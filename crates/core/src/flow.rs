@@ -12,7 +12,7 @@ use macro3d_par::{
 };
 use macro3d_place::floorplan::die_for_area;
 use macro3d_place::{global_place, legalize, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
-use macro3d_route::{RouteConfig, RouteRequest, RoutedDesign, Router};
+use macro3d_route::{route_design, RouteConfig, RouteRequest, RoutedDesign};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
     analyze_power, clock_arrivals, insert_repeaters, synthesize_clock_tree, upsize_critical_path,
@@ -433,7 +433,7 @@ pub fn macro_obstacles(
 }
 
 /// Builds the per-net pin list for routing.
-pub fn route_pins(
+pub(crate) fn route_pins(
     design: &Design,
     placement: &Placement,
     ports: &PortPlan,
@@ -467,10 +467,9 @@ pub fn route_pins(
         .collect()
 }
 
-/// A routing session over `stack` for a placed design: placed macro
-/// blockages become obstacles and every net's pins sit at their
-/// [`pin_layer`]s.
-pub(crate) fn router_for(
+/// Routes a placed design over `stack`: placed macro blockages become
+/// obstacles and every net's pins sit at their [`pin_layer`]s.
+pub(crate) fn route_placed(
     design: &Design,
     placement: &Placement,
     ports: &PortPlan,
@@ -478,7 +477,7 @@ pub(crate) fn router_for(
     stack: &MetalStack,
     cfg: &FlowConfig,
     macro_pins_projected: bool,
-) -> Router {
+) -> RoutedDesign {
     let (logic_metals, layers) = (cfg.logic_metals, stack.num_layers());
     let obstacles = macro_obstacles(design, fp, logic_metals, layers, macro_pins_projected);
     let nets = route_pins(
@@ -489,7 +488,7 @@ pub(crate) fn router_for(
         layers,
         macro_pins_projected,
     );
-    Router::new(
+    route_design(
         &RouteRequest {
             die: fp.die(),
             stack,
@@ -906,7 +905,7 @@ pub(crate) fn finish_design(
     let routed = match reuse.as_deref().and_then(StageReuse::route_snap) {
         Some(snap) => Arc::clone(&snap.routed),
         None => {
-            let mut router = router_for(
+            let routed = Arc::new(route_placed(
                 &design,
                 &placement,
                 &ports,
@@ -914,8 +913,7 @@ pub(crate) fn finish_design(
                 &stack,
                 cfg,
                 macro_pins_projected,
-            );
-            let routed = Arc::new(router.route());
+            ));
             if let Some(r) = reuse.as_deref_mut() {
                 r.store_route(&routed);
             }

@@ -28,7 +28,7 @@
 use crate::build_cache::{cached_combined_beol, cached_stack, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, extract_all, finish_design, place_pipeline, router_for, signoff_input,
+    area_budget, extract_all, finish_design, place_pipeline, route_placed, signoff_input,
     sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
 };
 use crate::stage::PlaceSnap;
@@ -194,7 +194,7 @@ pub(crate) fn pseudo2d_stage1(
 ) -> (Placement, ClockTree) {
     let (placement, tree) = place_pipeline(design, fp, ports, constraints, cfg, timer);
     let stack = cached_stack(cfg.logic_metals, DieRole::Logic);
-    let routed = router_for(design, &placement, ports, fp, &stack, cfg, false).route();
+    let routed = route_placed(design, &placement, ports, fp, &stack, cfg, false);
     timer.mark(&format!("{flow}_stage1_route"));
     let mut parasitics = extract_all(
         design,

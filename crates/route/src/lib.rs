@@ -21,10 +21,8 @@
 //! guided A* over a dense per-edge cost grid (`search`); overflowed
 //! edges trigger rip-up and re-route.
 //!
-//! The entry point is the incremental [`Router`] session ([`global`]):
-//! build it once from a [`RouteRequest`], call [`Router::route`] for
-//! the initial result, and [`Router::update`] to re-route only the
-//! nets a caller perturbed.
+//! The entry point is [`route_design`] ([`global`]): one call routes a
+//! [`RouteRequest`] to a [`RoutedDesign`].
 
 pub mod congestion;
 pub mod gcell;
@@ -36,8 +34,8 @@ pub mod steiner;
 pub use congestion::{CongestionReport, LayerCongestion};
 pub use gcell::RouteGrid;
 pub use global::{
-    valid_search_cost, RouteConfig, RouteConfigBuilder, RouteConfigError, RoutePin, RouteRequest,
-    Router,
+    route_design, valid_search_cost, RouteConfig, RouteConfigBuilder, RouteConfigError, RoutePin,
+    RouteRequest,
 };
 pub use macro3d_par::Parallelism;
 pub use routed::{RouteSeg, RoutedDesign, RoutedNet, Via};

@@ -1,17 +1,16 @@
 //! Windowed weighted A* over the dense per-edge cost grid.
 //!
-//! The search engine is split into two parts so the router session
-//! can share one and pool the other:
+//! The search engine is split into two parts so one route can share
+//! one and pool the other:
 //!
 //! * [`SearchShared`] — immutable per-design constants (grid shape,
 //!   layer directions, via costs, heuristic floors). Built once per
-//!   session and shared across workers behind an `Arc`; the
-//!   first-generation router cloned these vectors into every worker
-//!   on every chunk.
+//!   route and borrowed by every worker; the first-generation router
+//!   cloned these vectors into every worker on every chunk.
 //! * [`SearchScratch`] — the mutable per-worker state (one
 //!   distance / parent / stamp record per node, the open list and the
 //!   pattern-menu buffer), recycled through a [`ScratchPool`] so
-//!   repeated chunks and repeated `update()` calls never reallocate.
+//!   repeated chunks and rip-up iterations never reallocate.
 //!
 //! Each two-pin search runs inside a bounding-box *window* around the
 //! source and target GCells, expanded on failure through a fixed
@@ -48,7 +47,7 @@ static PATTERN_CLEAN: macro3d_obs::SiteCounter =
 static PATTERN_DIRTY: macro3d_obs::SiteCounter =
     macro3d_obs::SiteCounter::new("route/pattern_dirty");
 
-/// Immutable search constants, shared by every worker of a session.
+/// Immutable search constants, shared by every worker of a route.
 pub(crate) struct SearchShared {
     pub nx: usize,
     pub ny: usize,

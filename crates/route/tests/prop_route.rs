@@ -2,7 +2,9 @@
 
 use macro3d_geom::{Point, Rect};
 use macro3d_netlist::NetId;
-use macro3d_route::{steiner_length, RouteConfig, RoutePin, RouteRequest, RoutedDesign, Router};
+use macro3d_route::{
+    route_design, steiner_length, RouteConfig, RoutePin, RouteRequest, RoutedDesign,
+};
 use macro3d_tech::stack::MetalStack;
 use macro3d_tech::stack::{n28_stack, DieRole};
 use proptest::prelude::*;
@@ -12,7 +14,7 @@ fn die() -> Rect {
 }
 
 fn route(stack: &MetalStack, nets: &[(NetId, Vec<RoutePin>)], cfg: &RouteConfig) -> RoutedDesign {
-    Router::new(
+    route_design(
         &RouteRequest {
             die: die(),
             stack,
@@ -22,7 +24,6 @@ fn route(stack: &MetalStack, nets: &[(NetId, Vec<RoutePin>)], cfg: &RouteConfig)
         },
         cfg,
     )
-    .route()
 }
 
 proptest! {

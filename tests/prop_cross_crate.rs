@@ -5,7 +5,7 @@ use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, NetId, PinRef};
 use macro3d_place::density::count_overlaps;
 use macro3d_place::{legalize, Floorplan, Placement};
-use macro3d_route::{RouteConfig, RouteRequest, Router};
+use macro3d_route::{route_design, RouteConfig, RouteRequest};
 use macro3d_sram::MemoryCompiler;
 use macro3d_tech::libgen::n28_library;
 use macro3d_tech::stack::{n28_stack, DieRole};
@@ -77,7 +77,7 @@ proptest! {
                 (Point::from_um(x1, y1), dst_layer),
             ],
         )];
-        let r = Router::new(
+        let r = route_design(
             &RouteRequest {
                 die: Rect::from_um(0.0, 0.0, 200.0, 200.0),
                 stack: combined.stack(),
@@ -86,8 +86,7 @@ proptest! {
                 num_nets: 1,
             },
             &RouteConfig::default(),
-        )
-        .route();
+        );
         let net = r.net(NetId(0)).expect("routed");
         if to_macro_die {
             prop_assert_eq!(net.f2f_crossings % 2, 1, "inter-die nets cross oddly");
