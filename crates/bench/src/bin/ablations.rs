@@ -5,7 +5,7 @@ use macro3d::s2d::S2dStyle;
 use macro3d_soc::{generate_tile, TileConfig};
 
 fn main() {
-    let cfg = macro3d_bench::experiment_config_from_args();
+    let cfg = macro3d_bench::experiment_config_or_exit();
     let tile = generate_tile(&TileConfig::small_cache().with_scale(cfg.scale));
 
     println!("=== C2D comparison (paper drops its numbers as worse than S2D) ===");

@@ -2,7 +2,7 @@
 use macro3d_soc::TileConfig;
 
 fn main() {
-    let cfg = macro3d_bench::experiment_config_from_args();
+    let cfg = macro3d_bench::experiment_config_or_exit();
     let out = std::path::Path::new("figures");
     for tc in [TileConfig::small_cache(), TileConfig::large_cache()] {
         let name = tc.name.clone();

@@ -1,7 +1,7 @@
 //! Regenerates Table I: max-performance PPA and cost comparison of
 //! the 2D, MoL S2D, BF S2D and Macro-3D flows (small-cache system).
 fn main() {
-    let cfg = macro3d_bench::experiment_config_from_args();
+    let cfg = macro3d_bench::experiment_config_or_exit();
     eprintln!("running Table I at scale {} ...", cfg.scale);
     let t = std::time::Instant::now();
     let table = macro3d::experiments::table1(&cfg);
