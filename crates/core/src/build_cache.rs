@@ -2,11 +2,11 @@
 //!
 //! `run_experiments` drives four flows over the same tile, and every
 //! flow used to regenerate identical inputs from scratch: the tile
-//! netlist, the n28 metal stacks and combined BEOL, the SRAM macro
-//! models, and the memory-on-logic floorplan seed (the Macro-3D, MoL
-//! S2D and Compact-2D flows all split and pack macros on the *same*
-//! 3D die). [`BuildCache`] memoizes those artifacts behind content
-//! keys so each is built once per process.
+//! netlist (SRAM macro models included), the n28 metal stacks and
+//! combined BEOL, and the memory-on-logic floorplan seed (the
+//! Macro-3D, MoL S2D and Compact-2D flows all split and pack macros
+//! on the *same* 3D die). [`BuildCache`] memoizes those artifacts
+//! behind content keys so each is built once per process.
 //!
 //! Entries are immutable `Arc`s: a hit is a clone of the pointer, so
 //! cached artifacts are shared, never rebuilt, and safe to use from
@@ -18,7 +18,6 @@ use macro3d_geom::{Dbu, Rect};
 use macro3d_netlist::Design;
 use macro3d_place::MacroPlacement;
 use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
-use macro3d_sram::{MacroDef, MemoryCompiler};
 use macro3d_tech::stack::{n28_stack, DieRole, MetalStack};
 use macro3d_tech::{CombinedBeol, F2fSpec};
 use std::any::Any;
@@ -157,7 +156,7 @@ impl BuildCache {
 }
 
 /// Feeds an obs counter per artifact kind (the key prefix before the
-/// first `/`: `tile`, `stack`, `beol`, `sram`, `fp-mol`, `fp-2d`).
+/// first `/`: `tile`, `stack`, `beol`, `fp-mol`, `fp-2d`).
 /// One branch when observability is off; lookups already take the
 /// cache mutex, so the registry lookup on the slow path is in budget.
 fn record_obs(key: &str, hit: bool) {
@@ -201,21 +200,6 @@ pub fn cached_combined_beol(logic_metals: usize, macro_metals: usize) -> Arc<Com
             &cached_stack(macro_metals, DieRole::Macro),
             &F2fSpec::hybrid_bond_n28(),
         )
-    })
-}
-
-/// Cached SRAM macro model from the given compiler process.
-///
-/// `process` must name the compiler configuration (e.g. `"n28"`) —
-/// it, not the compiler instance, is the cache key.
-pub fn cached_sram(
-    process: &str,
-    compiler: &MemoryCompiler,
-    words: u32,
-    bits: u32,
-) -> Arc<MacroDef> {
-    global().get_or_build(&format!("sram/{process}/{words}x{bits}"), || {
-        compiler.sram(&format!("sram_{words}x{bits}"), words, bits)
     })
 }
 
@@ -377,10 +361,5 @@ mod tests {
         let b1 = cached_combined_beol(6, 4);
         let b2 = cached_combined_beol(6, 4);
         assert!(Arc::ptr_eq(&b1, &b2));
-
-        let compiler = MemoryCompiler::n28();
-        let d1 = cached_sram("n28", &compiler, 256, 32);
-        let d2 = cached_sram("n28", &compiler, 256, 32);
-        assert!(Arc::ptr_eq(&d1, &d2));
     }
 }

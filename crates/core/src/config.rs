@@ -1,89 +1,144 @@
-//! Validated construction of [`FlowConfig`].
+//! The one table of range rules for [`FlowConfig`].
 //!
-//! `FlowConfig` is plain data and can be built literally, but most
-//! call sites want the defaults plus a couple of overrides — and a
-//! typo like `util_logic = 60.0` (percent instead of fraction) used
-//! to surface only as a nonsensical floorplan. The builder checks
-//! every range at [`FlowConfigBuilder::build`] time and returns a
-//! [`ConfigError`] naming the offending field instead.
+//! `FlowConfig` is plain data: it is built literally, decoded from
+//! JSON, or changed one field at a time by a DSE knob. A typo like
+//! `util_logic = 60.0` (percent instead of fraction) used to surface
+//! only as a nonsensical floorplan. [`FlowConfig::validate`] checks
+//! every range and returns a [`ConfigError`] naming the offending
+//! field instead. It has three callers:
+//!
+//! * [`FlowConfigBuilder::build`];
+//! * every flow run: [`crate::flows::Flow::try_run`] returns
+//!   [`crate::FlowError::Config`] before any stage starts;
+//! * the DSE knob parser (`macro3d_dse::sweep::apply_knob`), so a bad
+//!   knob is refused before its job is submitted.
 
 use crate::flow::FlowConfig;
-use macro3d_par::{FaultPlan, FlowBudget, Parallelism};
-use macro3d_place::GlobalPlaceConfig;
-use macro3d_route::RouteConfig;
-use macro3d_sta::CtsConfig;
+use macro3d_par::Parallelism;
 use std::fmt;
 
-/// A rejected [`FlowConfig`] field (see [`FlowConfigBuilder::build`]).
+/// A [`FlowConfig`] field outside its range (see
+/// [`FlowConfig::validate`]).
 #[derive(Clone, Debug, PartialEq)]
-pub enum ConfigError {
-    /// A utilization target fell outside `(0, 1]`.
-    Utilization {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
-    /// A metal stack was configured with zero layers.
-    ZeroMetalLayers {
-        /// Offending field.
-        field: &'static str,
-    },
-    /// A length or period that must be strictly positive was not.
-    NonPositive {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
-    /// A value that must be non-negative was negative.
-    Negative {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
-    /// A parallelism chunk size of zero (no work per batch).
-    ZeroChunkSize,
-    /// A router search cost that is not finite and > 0 once converted
-    /// to the router's `f32` (see [`macro3d_route::valid_search_cost`]).
-    InvalidCost {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
+pub struct ConfigError {
+    /// The offending field, as a path from the `FlowConfig` root
+    /// (e.g. `"route.iterations"`).
+    pub field: &'static str,
+    /// The range it must lie in, e.g. `"in (0, 1]"`.
+    pub rule: &'static str,
+    /// The rejected value.
+    pub value: f64,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::Utilization { field, value } => {
-                write!(f, "{field} must be in (0, 1], got {value}")
-            }
-            ConfigError::ZeroMetalLayers { field } => {
-                write!(f, "{field} must be at least 1 metal layer")
-            }
-            ConfigError::NonPositive { field, value } => {
-                write!(f, "{field} must be > 0, got {value}")
-            }
-            ConfigError::Negative { field, value } => {
-                write!(f, "{field} must be >= 0, got {value}")
-            }
-            ConfigError::ZeroChunkSize => {
-                write!(f, "parallelism chunk_size must be >= 1")
-            }
-            ConfigError::InvalidCost { field, value } => {
-                write!(f, "{field} must be finite and > 0 as f32, got {value}")
-            }
-        }
+        write!(
+            f,
+            "{} must be {}, got {}",
+            self.field, self.rule, self.value
+        )
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Builds a [`FlowConfig`] with range validation (see the module
-/// docs). Obtain one via [`FlowConfig::builder`].
+fn require(
+    holds: bool,
+    field: &'static str,
+    rule: &'static str,
+    value: f64,
+) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(ConfigError { field, rule, value })
+    }
+}
+
+impl FlowConfig {
+    /// Starts a validated builder seeded with the defaults.
+    pub fn builder() -> FlowConfigBuilder {
+        FlowConfigBuilder {
+            cfg: FlowConfig::default(),
+        }
+    }
+
+    /// Checks every range rule of the flow and its engines.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule, in this order: a utilization
+    /// (flow or router) outside `(0, 1]`; a metal-layer count, router
+    /// iteration count or parallelism chunk size (flow, router or
+    /// placer) of zero; a length that is not finite and > 0 (repeater
+    /// threshold, partial-blockage period, GCell pitch, and the F2F
+    /// bond pitch when set); a halo that is not finite and >= 0; or a
+    /// router `via_cost` that is not finite and > 0 once converted to
+    /// the router's `f32` (see [`macro3d_route::valid_search_cost`]).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("util_logic", self.util_logic),
+            ("util_macro", self.util_macro),
+            ("route.utilization", self.route.utilization),
+        ] {
+            require(value > 0.0 && value <= 1.0, field, "in (0, 1]", value)?;
+        }
+        for (field, count) in [
+            ("logic_metals", self.logic_metals),
+            ("macro_metals", self.macro_metals),
+            ("route.iterations", self.route.iterations),
+            ("parallelism.chunk_size", self.parallelism.chunk_size),
+            (
+                "route.parallelism.chunk_size",
+                self.route.parallelism.chunk_size,
+            ),
+            (
+                "place.parallelism.chunk_size",
+                self.place.parallelism.chunk_size,
+            ),
+        ] {
+            require(count >= 1, field, ">= 1", count as f64)?;
+        }
+        let pitch = self.route.f2f_pitch_um.map(|p| ("route.f2f_pitch_um", p));
+        for (field, value) in [
+            ("repeater_max_len_um", self.repeater_max_len_um),
+            (
+                "partial_blockage_period_um",
+                self.partial_blockage_period_um,
+            ),
+            ("route.gcell_um", self.route.gcell_um),
+        ]
+        .into_iter()
+        .chain(pitch)
+        {
+            require(
+                value.is_finite() && value > 0.0,
+                field,
+                "finite and > 0",
+                value,
+            )?;
+        }
+        let halo = self.halo_um;
+        require(
+            halo.is_finite() && halo >= 0.0,
+            "halo_um",
+            "finite and >= 0",
+            halo,
+        )?;
+        let via_cost = self.route.via_cost;
+        require(
+            macro3d_route::valid_search_cost(via_cost),
+            "route.via_cost",
+            "finite and > 0 as f32",
+            via_cost,
+        )
+    }
+}
+
+/// Builds a [`FlowConfig`] from the defaults plus a few overrides and
+/// checks it with [`FlowConfig::validate`]. Obtain one via
+/// [`FlowConfig::builder`]; for any other field, write it on
+/// [`FlowConfig::default`] and call `validate`.
 ///
 /// # Examples
 ///
@@ -98,8 +153,8 @@ impl std::error::Error for ConfigError {}
 ///     .expect("valid config");
 /// assert_eq!(cfg.macro_metals, 4);
 ///
-/// let err = FlowConfig::builder().util_logic(65.0).build();
-/// assert!(err.is_err());
+/// let err = FlowConfig::builder().util_logic(65.0).build().unwrap_err();
+/// assert_eq!(err.field, "util_logic");
 /// ```
 #[derive(Clone, Debug)]
 pub struct FlowConfigBuilder {
@@ -107,19 +162,6 @@ pub struct FlowConfigBuilder {
 }
 
 impl FlowConfigBuilder {
-    /// Starts from [`FlowConfig::default`].
-    pub fn new() -> Self {
-        FlowConfigBuilder {
-            cfg: FlowConfig::default(),
-        }
-    }
-
-    /// Metal layers on the logic die.
-    pub fn logic_metals(mut self, n: usize) -> Self {
-        self.cfg.logic_metals = n;
-        self
-    }
-
     /// Metal layers on the macro die.
     pub fn macro_metals(mut self, n: usize) -> Self {
         self.cfg.macro_metals = n;
@@ -132,51 +174,9 @@ impl FlowConfigBuilder {
         self
     }
 
-    /// Macro packing utilization target, in `(0, 1]`.
-    pub fn util_macro(mut self, u: f64) -> Self {
-        self.cfg.util_macro = u;
-        self
-    }
-
-    /// Macro keep-out halo, µm.
-    pub fn halo_um(mut self, um: f64) -> Self {
-        self.cfg.halo_um = um;
-        self
-    }
-
-    /// Repeater insertion threshold, µm of HPWL.
-    pub fn repeater_max_len_um(mut self, um: f64) -> Self {
-        self.cfg.repeater_max_len_um = um;
-        self
-    }
-
     /// Post-route sizing iterations.
     pub fn sizing_rounds(mut self, rounds: usize) -> Self {
         self.cfg.sizing_rounds = rounds;
-        self
-    }
-
-    /// Partial-blockage quantization period, µm.
-    pub fn partial_blockage_period_um(mut self, um: f64) -> Self {
-        self.cfg.partial_blockage_period_um = um;
-        self
-    }
-
-    /// Replaces the router settings wholesale.
-    pub fn route(mut self, route: RouteConfig) -> Self {
-        self.cfg.route = route;
-        self
-    }
-
-    /// Replaces the CTS settings wholesale.
-    pub fn cts(mut self, cts: CtsConfig) -> Self {
-        self.cfg.cts = cts;
-        self
-    }
-
-    /// Replaces the global-placement settings wholesale.
-    pub fn place(mut self, place: GlobalPlaceConfig) -> Self {
-        self.cfg.place = place;
         self
     }
 
@@ -215,85 +215,57 @@ impl FlowConfigBuilder {
         self
     }
 
-    /// Stage budget: wall-clock deadline and per-site iteration caps.
-    /// Exhaustion degrades gracefully (best-so-far results, reported
-    /// in `FlowOutcome::degradation`) — it never errors.
-    pub fn budget(mut self, budget: FlowBudget) -> Self {
-        self.cfg.budget = budget;
-        self
-    }
-
-    /// Deterministic fault plan for robustness testing: injects
-    /// exhaustion or errors at named budget checkpoints.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = Some(plan);
-        self
-    }
-
-    /// Validates every range and returns the config.
+    /// Checks the config with [`FlowConfig::validate`] and returns it.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] encountered: utilizations
-    /// (flow and router) outside `(0, 1]`, zero metal layers, zero or
-    /// negative lengths/periods, a zero parallelism chunk size, or a
-    /// router `via_cost` that is not finite and > 0 as `f32`.
+    /// Returns the first [`ConfigError`] `validate` finds.
     pub fn build(self) -> Result<FlowConfig, ConfigError> {
-        let cfg = self.cfg;
-        for (field, value) in [
-            ("util_logic", cfg.util_logic),
-            ("util_macro", cfg.util_macro),
-            ("route.utilization", cfg.route.utilization),
-        ] {
-            if !(value > 0.0 && value <= 1.0) {
-                return Err(ConfigError::Utilization { field, value });
-            }
-        }
-        for (field, value) in [
-            ("logic_metals", cfg.logic_metals),
-            ("macro_metals", cfg.macro_metals),
-        ] {
-            if value == 0 {
-                return Err(ConfigError::ZeroMetalLayers { field });
-            }
-        }
-        for (field, value) in [
-            ("repeater_max_len_um", cfg.repeater_max_len_um),
-            ("partial_blockage_period_um", cfg.partial_blockage_period_um),
-            ("route.gcell_um", cfg.route.gcell_um),
-        ] {
-            if value.is_nan() || value <= 0.0 {
-                return Err(ConfigError::NonPositive { field, value });
-            }
-        }
-        if cfg.halo_um.is_nan() || cfg.halo_um < 0.0 {
-            return Err(ConfigError::Negative {
-                field: "halo_um",
-                value: cfg.halo_um,
-            });
-        }
-        if cfg.parallelism.chunk_size == 0 || cfg.route.parallelism.chunk_size == 0 {
-            return Err(ConfigError::ZeroChunkSize);
-        }
-        if !macro3d_route::valid_search_cost(cfg.route.via_cost) {
-            return Err(ConfigError::InvalidCost {
-                field: "route.via_cost",
-                value: cfg.route.via_cost,
-            });
-        }
-        Ok(cfg)
-    }
-}
-
-impl Default for FlowConfigBuilder {
-    fn default() -> Self {
-        Self::new()
+        self.cfg.validate()?;
+        Ok(self.cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flows::{all_flows, Flow, Macro3d};
+    use crate::FlowError;
+    use macro3d_soc::TileConfig;
+
+    /// The field `validate` refuses after `edit` on the defaults, or
+    /// `None` when the edited config passes.
+    fn refused(edit: impl FnOnce(&mut FlowConfig)) -> Option<&'static str> {
+        let mut cfg = FlowConfig::default();
+        edit(&mut cfg);
+        cfg.validate().err().map(|e| e.field)
+    }
+
+    /// One out-of-range value per field of the rule table.
+    type Edit = fn(&mut FlowConfig);
+    const ONE_BAD_VALUE_PER_FIELD: [(&str, Edit); 15] = [
+        ("util_logic", |c| c.util_logic = 60.0),
+        ("util_macro", |c| c.util_macro = 0.0),
+        ("route.utilization", |c| c.route.utilization = 1.01),
+        ("logic_metals", |c| c.logic_metals = 0),
+        ("macro_metals", |c| c.macro_metals = 0),
+        ("route.iterations", |c| c.route.iterations = 0),
+        ("parallelism.chunk_size", |c| c.parallelism.chunk_size = 0),
+        ("route.parallelism.chunk_size", |c| {
+            c.route.parallelism.chunk_size = 0
+        }),
+        ("place.parallelism.chunk_size", |c| {
+            c.place.parallelism.chunk_size = 0
+        }),
+        ("repeater_max_len_um", |c| c.repeater_max_len_um = 0.0),
+        ("partial_blockage_period_um", |c| {
+            c.partial_blockage_period_um = -8.0
+        }),
+        ("route.gcell_um", |c| c.route.gcell_um = f64::NAN),
+        ("route.f2f_pitch_um", |c| c.route.f2f_pitch_um = Some(-1.0)),
+        ("halo_um", |c| c.halo_um = -50.0),
+        ("route.via_cost", |c| c.route.via_cost = f64::NAN),
+    ];
 
     #[test]
     fn defaults_build() {
@@ -306,116 +278,88 @@ mod tests {
     fn rejects_out_of_range_utilization() {
         for bad in [0.0, -0.2, 1.5, f64::NAN] {
             let err = FlowConfig::builder().util_logic(bad).build().unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ConfigError::Utilization {
-                        field: "util_logic",
-                        ..
-                    }
-                ),
-                "{bad}: {err}"
+            assert_eq!(err.field, "util_logic", "{bad}: {err}");
+        }
+        for bad in [0.0, -0.5, 1.01, f64::NAN] {
+            assert_eq!(
+                refused(|c| c.route.utilization = bad),
+                Some("route.utilization"),
+                "{bad}"
             );
         }
-        assert!(FlowConfig::builder().util_macro(1.0).build().is_ok());
+        assert_eq!(refused(|c| c.util_macro = 1.0), None);
+        assert_eq!(refused(|c| c.route.utilization = 0.25), None);
     }
 
     #[test]
-    fn rejects_zero_metals_and_bad_lengths() {
-        assert!(matches!(
-            FlowConfig::builder().logic_metals(0).build().unwrap_err(),
-            ConfigError::ZeroMetalLayers {
-                field: "logic_metals"
-            }
-        ));
-        assert!(matches!(
-            FlowConfig::builder().macro_metals(0).build().unwrap_err(),
-            ConfigError::ZeroMetalLayers {
-                field: "macro_metals"
-            }
-        ));
-        assert!(matches!(
-            FlowConfig::builder()
-                .repeater_max_len_um(0.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::NonPositive { .. }
-        ));
-        assert!(matches!(
-            FlowConfig::builder().halo_um(-1.0).build().unwrap_err(),
-            ConfigError::Negative {
-                field: "halo_um",
-                ..
-            }
-        ));
+    fn every_field_is_refused_by_name() {
+        for (field, edit) in ONE_BAD_VALUE_PER_FIELD {
+            assert_eq!(refused(edit), Some(field));
+        }
+        // the lower bound of a count is in range: one router pass
+        assert_eq!(refused(|c| c.route.iterations = 1), None);
     }
 
     #[test]
-    fn rejects_bad_route_config() {
-        let route = RouteConfig {
-            utilization: 2.0,
-            ..RouteConfig::default()
-        };
-        let err = FlowConfig::builder().route(route).build().unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::Utilization {
-                field: "route.utilization",
-                ..
-            }
-        ));
-
-        let mut route = RouteConfig::default();
-        route.parallelism.chunk_size = 0;
-        assert_eq!(
-            FlowConfig::builder().route(route).build().unwrap_err(),
-            ConfigError::ZeroChunkSize
-        );
+    fn rejects_bad_lengths() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                refused(|c| c.route.gcell_um = bad),
+                Some("route.gcell_um"),
+                "{bad}"
+            );
+            assert_eq!(
+                refused(|c| c.repeater_max_len_um = bad),
+                Some("repeater_max_len_um"),
+                "{bad}"
+            );
+            assert_eq!(
+                refused(|c| c.partial_blockage_period_um = bad),
+                Some("partial_blockage_period_um"),
+                "{bad}"
+            );
+            // a pitch of -1 would allow one bump per GCell
+            assert_eq!(
+                refused(|c| c.route.f2f_pitch_um = Some(bad)),
+                Some("route.f2f_pitch_um"),
+                "{bad}"
+            );
+        }
+        assert_eq!(refused(|c| c.route.gcell_um = 5.0), None);
+        assert_eq!(refused(|c| c.route.f2f_pitch_um = None), None);
+        assert_eq!(refused(|c| c.route.f2f_pitch_um = Some(10.0)), None);
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(refused(|c| c.halo_um = bad), Some("halo_um"), "{bad}");
+        }
+        assert_eq!(refused(|c| c.halo_um = 0.0), None);
     }
 
     /// NaN would block every A* via step and poison the pattern costs.
     #[test]
     fn rejects_nan_via_cost() {
-        let route = RouteConfig {
-            via_cost: f64::NAN,
-            ..RouteConfig::default()
-        };
-        let err = FlowConfig::builder().route(route).build().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ConfigError::InvalidCost {
-                    field: "route.via_cost",
-                    ..
-                }
-            ),
-            "{err}"
+        let mut cfg = FlowConfig::default();
+        cfg.route.via_cost = f64::NAN;
+        assert_eq!(
+            cfg.validate().unwrap_err().to_string(),
+            "route.via_cost must be finite and > 0 as f32, got NaN"
         );
     }
 
-    /// Negative, zero, and values that reach the router's `f32` as 0
-    /// or infinity are rejected; the default passes.
+    /// A negative cost would make edge costs negative; zero, and
+    /// values that reach the router's `f32` as 0 or infinity, are
+    /// rejected too.
     #[test]
     fn rejects_negative_via_cost() {
-        for bad in [-1.0, 0.0, 1e-60, 1e60, f64::INFINITY] {
-            let route = RouteConfig {
-                via_cost: bad,
-                ..RouteConfig::default()
-            };
-            let err = FlowConfig::builder().route(route).build().unwrap_err();
-            assert!(
-                matches!(err, ConfigError::InvalidCost { .. }),
-                "{bad}: {err}"
+        for bad in [-2.0, -0.0, 0.0, 1e-60, 1e60, f64::INFINITY] {
+            assert_eq!(
+                refused(|c| c.route.via_cost = bad),
+                Some("route.via_cost"),
+                "{bad}"
             );
-            assert!(err.to_string().contains("route.via_cost"), "{err}");
         }
-        assert!(FlowConfig::builder()
-            .route(RouteConfig {
-                via_cost: 1e30,
-                ..RouteConfig::default()
-            })
-            .build()
-            .is_ok());
+        for good in [1e-30, 0.5, 2.0, 1e30] {
+            assert_eq!(refused(|c| c.route.via_cost = good), None, "{good}");
+        }
     }
 
     #[test]
@@ -445,6 +389,13 @@ mod tests {
         let err = FlowConfig::builder().util_logic(65.0).build().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("util_logic") && msg.contains("65"), "{msg}");
+        let mut cfg = FlowConfig::default();
+        cfg.route.gcell_um = -2.0;
+        let msg = cfg.validate().unwrap_err().to_string();
+        assert!(
+            msg.contains("route.gcell_um") && msg.contains("-2"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -456,5 +407,37 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(cfg.obs, macro3d_obs::ObsConfig::full());
+    }
+
+    /// `try_run` refuses a config that never went through the builder,
+    /// naming the field of each rule.
+    #[test]
+    fn try_run_refuses_every_rule_by_name() {
+        let tile = crate::build_cache::cached_tile(&TileConfig::mini());
+        for (field, edit) in ONE_BAD_VALUE_PER_FIELD {
+            let mut cfg = FlowConfig::default();
+            edit(&mut cfg);
+            match Macro3d.try_run(&tile, &cfg) {
+                Err(FlowError::Config(e)) => assert_eq!(e.field, field, "{e}"),
+                Err(e) => panic!("{field}: expected a config error, got {e}"),
+                Ok(_) => panic!("{field}: the flow ran"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_flow_refuses_a_zero_iteration_router() {
+        let tile = crate::build_cache::cached_tile(&TileConfig::mini());
+        let mut cfg = FlowConfig::default();
+        cfg.route.iterations = 0;
+        for flow in all_flows() {
+            let err = flow.try_run(&tile, &cfg).err();
+            assert!(
+                err.as_ref().is_some_and(|e| e.to_string()
+                    == "invalid flow config: route.iterations must be >= 1, got 0"),
+                "{}: {err:?}",
+                flow.name()
+            );
+        }
     }
 }

@@ -19,7 +19,8 @@ use macro3d_par::{checkpoint, note_degradation, site_visits, Checkpoint, StopRea
 /// A failed flow run (see [`crate::flows::Flow::try_run`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlowError {
-    /// The flow configuration failed validation.
+    /// The flow configuration broke a [`crate::FlowConfig::validate`]
+    /// rule; the error names the field. Checked before any stage runs.
     Config(ConfigError),
     /// Floorplanning could not fit the design: macro packing failed
     /// on the computed die.

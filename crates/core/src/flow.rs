@@ -27,8 +27,10 @@ use std::time::Instant;
 
 /// Configuration shared by all flows.
 ///
-/// Build one with [`FlowConfig::builder`] to get range validation, or
-/// use [`FlowConfig::default`] and mutate fields directly.
+/// Plain data: build one literally, start from
+/// [`FlowConfig::default`] and write fields, or use
+/// [`FlowConfig::builder`]. Every flow run checks the ranges with
+/// [`FlowConfig::validate`] before its first stage.
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
     /// Metal layers on the logic die.
@@ -61,9 +63,10 @@ pub struct FlowConfig {
     /// Global placement settings.
     pub place: GlobalPlaceConfig,
     /// Worker threads for the per-net extraction fan-out and the STA
-    /// endpoint checks. The router reads `route.parallelism` instead
-    /// (so routing batch granularity can be tuned independently);
-    /// [`crate::config::FlowConfigBuilder::parallelism`] sets both.
+    /// endpoint checks. The router and the placer read
+    /// `route.parallelism` and `place.parallelism` instead (so their
+    /// batch granularity can be tuned independently);
+    /// [`crate::FlowConfigBuilder::parallelism`] sets all three.
     /// Results are identical for any thread count.
     pub parallelism: Parallelism,
     /// Observability level for the flow run (off / summary / full
@@ -100,13 +103,6 @@ impl Default for FlowConfig {
             budget: FlowBudget::default(),
             fault_plan: None,
         }
-    }
-}
-
-impl FlowConfig {
-    /// Starts a validated builder seeded with the defaults.
-    pub fn builder() -> crate::config::FlowConfigBuilder {
-        crate::config::FlowConfigBuilder::new()
     }
 }
 
@@ -573,14 +569,6 @@ impl StageTimes {
         self.stages.push((stage.into(), seconds));
     }
 
-    /// Duration of a named stage (first occurrence), seconds.
-    pub fn seconds(&self, stage: &str) -> Option<f64> {
-        self.stages
-            .iter()
-            .find(|(s, _)| s == stage)
-            .map(|&(_, t)| t)
-    }
-
     /// Sum of all recorded stages, seconds.
     pub fn total_seconds(&self) -> f64 {
         self.stages.iter().map(|&(_, t)| t).sum()
@@ -597,8 +585,7 @@ impl std::fmt::Display for StageTimes {
 }
 
 /// Records wall-clock per flow stage. [`StageTimer::mark`] closes the
-/// stage that ran since the previous mark (or construction); under
-/// `MACRO3D_VERBOSE` each mark also prints a progress line.
+/// stage that ran since the previous mark (or construction).
 ///
 /// Internally each stage is a `macro3d-obs` span: `new` opens an
 /// unnamed span, `mark` closes it under the stage name and opens the
@@ -637,9 +624,6 @@ impl StageTimer {
     pub fn mark(&mut self, stage: &str) {
         let dt = self.last.elapsed();
         self.last = Instant::now();
-        if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-            eprintln!("  [stage] {stage}: {dt:?}");
-        }
         if let Some(span) = self.span.take() {
             span.0.finish_named(stage);
         }
@@ -679,19 +663,13 @@ pub(crate) fn place_pipeline(
     // Abacus cluster collapse, bisection's sparse output through
     // Tetris first-fit
     let base_cells: Vec<InstId> = design.inst_ids().filter(|&i| !design.is_macro(i)).collect();
-    let base_rep = match cfg.place.backend {
+    match cfg.place.backend {
         macro3d_place::PlacerBackend::Bisection => {
-            legalize(design, fp, &mut placement, &base_cells)
+            legalize(design, fp, &mut placement, &base_cells);
         }
         macro3d_place::PlacerBackend::Analytical => {
-            macro3d_place::legalize_abacus(design, fp, &mut placement, &base_cells)
+            macro3d_place::legalize_abacus(design, fp, &mut placement, &base_cells);
         }
-    };
-    if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-        eprintln!(
-            "  [legalize base] failed={} mean_disp={:.1}um",
-            base_rep.failed, base_rep.mean_disp_um
-        );
     }
 
     let mut skip: HashSet<NetId> = HashSet::new();
@@ -715,20 +693,13 @@ pub(crate) fn place_pipeline(
 
     timer.mark("repeaters+cts");
     // ECO legalization: only the inserted buffers move
-    let eco_rep = macro3d_place::legalize::legalize_incremental(
+    macro3d_place::legalize::legalize_incremental(
         design,
         fp,
         &mut placement,
         &new_cells,
         &base_cells,
     );
-    if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-        eprintln!(
-            "  [legalize eco] failed={} of {}",
-            eco_rep.failed,
-            new_cells.len()
-        );
-    }
 
     // one greedy detailed-placement pass (same-row swaps) over every
     // placed cell — buffers included, so repacking can't stomp them

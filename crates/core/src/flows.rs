@@ -56,9 +56,10 @@ pub struct FlowOutcome {
     pub reuse_depth: usize,
 }
 
-/// The body every [`Flow::try_run_reusing`] shares: runs `implement`
-/// inside an obs session named after the flow, with the config's
-/// budget (and fault plan) installed for the flow thread, and
+/// The body every [`Flow::try_run_reusing`] shares: checks `cfg`
+/// with [`FlowConfig::validate`] before anything opens, then runs
+/// `implement` inside an obs session named after the flow, with the
+/// config's budget (and fault plan) installed for the flow thread, and
 /// assembles the [`FlowOutcome`] with the PPA row labelled `label`.
 /// The pseudo-2D flows pass `reuse: None`. A run with `reuse` records
 /// its stage hits and misses in the session
@@ -78,6 +79,7 @@ fn run_flow(
         Option<&mut StageReuse<'_>>,
     ) -> Result<(ImplementedDesign, Option<S2dDiagnostics>), FlowError>,
 ) -> Result<FlowOutcome, FlowError> {
+    cfg.validate()?;
     let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
     let session = Session::start(cfg.obs, name);
     if let Some(r) = reuse.as_deref() {
@@ -114,7 +116,7 @@ pub trait Flow {
     ///
     /// # Errors
     ///
-    /// Returns a [`FlowError`] naming the failed stage and context.
+    /// As [`Flow::try_run`].
     fn try_run_reusing(
         &self,
         tile: &TileNetlist,
@@ -130,7 +132,9 @@ pub trait Flow {
     ///
     /// # Errors
     ///
-    /// Returns a [`FlowError`] naming the failed stage and context.
+    /// Returns [`FlowError::Config`] naming the field when `cfg`
+    /// breaks a [`FlowConfig::validate`] rule, before any stage runs;
+    /// otherwise a [`FlowError`] naming the failed stage and context.
     fn try_run(&self, tile: &TileNetlist, cfg: &FlowConfig) -> Result<FlowOutcome, FlowError> {
         self.try_run_reusing(tile, cfg, None)
     }

@@ -375,7 +375,8 @@ pub fn flow_config_to_json(cfg: &FlowConfig) -> Json {
 /// # Errors
 ///
 /// Returns a [`CodecError`] naming the first missing or mistyped
-/// field. Range validation is the builder's job, not the codec's.
+/// field. Ranges are not the codec's job: [`FlowConfig::validate`]
+/// checks them, and every flow run calls it.
 pub fn flow_config_from_json(v: &Json) -> Result<FlowConfig, CodecError> {
     let fault_plan = get(v, "fault_plan")?;
     Ok(FlowConfig {

@@ -29,8 +29,10 @@
 //!
 //! # Examples
 //!
-//! Every flow implements the [`flows::Flow`] trait; configs are
-//! validated by [`config::FlowConfigBuilder`]:
+//! Every flow implements the [`flows::Flow`] trait. A [`FlowConfig`]
+//! is plain data; [`FlowConfig::validate`] is its one table of range
+//! rules, checked by [`FlowConfig::builder`], at the start of every
+//! flow run and by the DSE knob parser:
 //!
 //! ```no_run
 //! use macro3d::flows::{Flow, Flow2d, Macro3d};
@@ -76,6 +78,6 @@ pub use macro3d_par::{
     DegradationReport, FaultAction, FaultPlan, FlowBudget, Parallelism, StopReason, STANDARD_SITES,
 };
 pub use macro3d_place::{AnalyticalConfig, GlobalPlaceConfig, PlacerBackend};
-pub use macro3d_route::{RouteConfig, RouteConfigBuilder, RouteConfigError, RouteRequest};
+pub use macro3d_route::{RouteConfig, RouteRequest};
 pub use report::PpaResult;
 pub use stage::{stage_keys, Stage, StageCache, StageKeys, StageReuse};

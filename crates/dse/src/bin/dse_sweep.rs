@@ -96,6 +96,8 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Writes the results table and flushes `sink`, so a buffered
+/// writer's failure surfaces here instead of being lost in its drop.
 fn write_table(outcome: &SweepOutcome, mut sink: impl Write) -> std::io::Result<()> {
     writeln!(
         sink,
@@ -126,7 +128,8 @@ fn write_table(outcome: &SweepOutcome, mut sink: impl Write) -> std::io::Result<
         outcome.points.len(),
         outcome.pareto.len(),
         outcome.wall_s
-    )
+    )?;
+    sink.flush()
 }
 
 fn run() -> Result<(), String> {
@@ -173,5 +176,36 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink whose every write fails, like a full disk.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_buffered_write_is_an_error() {
+        let outcome = SweepOutcome {
+            points: Vec::new(),
+            pareto: Vec::new(),
+            wall_s: 0.0,
+        };
+        // the table fits in the buffer: only the flush reaches `Full`
+        let err = write_table(&outcome, std::io::BufWriter::new(Full)).unwrap_err();
+        assert_eq!(err.to_string(), "no space left on device");
+        assert!(write_table(&outcome, Vec::new()).is_ok());
     }
 }

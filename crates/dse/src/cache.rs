@@ -315,4 +315,48 @@ mod tests {
             "foreign-version record must not be served"
         );
     }
+
+    /// A damaged record — truncated, not JSON, or naming another key
+    /// — is a miss, never an error or a panic. A later insert replaces
+    /// the file, and a reopened cache serves it as a disk hit.
+    #[test]
+    fn damaged_records_are_misses_until_replaced() {
+        let dir = scratch("dse_cache_damaged");
+        let _ = fs::remove_dir_all(&dir);
+        let result = Arc::new(small_result());
+        let whole = record_json("deadbeef00000003", &result).emit();
+        let damaged = [
+            ("deadbeef00000003", whole[..whole.len() / 2].to_string()),
+            ("deadbeef00000004", "not json\n".to_string()),
+            (
+                "deadbeef00000005",
+                record_json("deadbeef00000006", &result).emit(),
+            ),
+        ];
+        {
+            let cache = ResultCache::persistent(&dir).unwrap();
+            for (key, text) in &damaged {
+                fs::write(record_path(&dir, key), text).unwrap();
+                assert!(cache.lookup(key).is_none(), "{key}");
+                cache.insert(key, &result);
+            }
+            assert_eq!(cache.stats().misses, 3);
+        }
+        let cache = ResultCache::persistent(&dir).unwrap();
+        for (key, _) in &damaged {
+            let hit = cache.lookup(key).expect("the replaced record is served");
+            assert_eq!(
+                jsonio::ppa_to_json(&hit.ppa).emit(),
+                jsonio::ppa_to_json(&result.ppa).emit()
+            );
+        }
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 3,
+                misses: 0,
+                disk_hits: 3
+            }
+        );
+    }
 }

@@ -671,7 +671,9 @@ fn execute_flow(
             }))
         }
         Ok(Err(flow_err)) => Err(flow_err.to_string()),
-        Err(panic) => Err(format!("flow panicked: {}", panic_message(&panic))),
+        // `&*panic`, not `&panic`: the latter makes the `Box` itself
+        // the `dyn Any`, and no downcast of the payload ever matches
+        Err(panic) => Err(format!("flow panicked: {}", panic_message(&*panic))),
     }
 }
 
@@ -712,6 +714,38 @@ mod tests {
             macro3d::ppa_fingerprint(&rb.ppa)
         );
         assert_eq!(client.stats().flows_executed, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn panic_messages_keep_their_text() {
+        let caught = |f: fn()| catch_unwind(f).unwrap_err();
+        let literal = caught(|| panic!("area_scale must be positive and finite"));
+        assert_eq!(
+            panic_message(&*literal),
+            "area_scale must be positive and finite"
+        );
+        let formatted = caught(|| panic!("area_scale {} is not finite", f64::NAN));
+        assert_eq!(panic_message(&*formatted), "area_scale NaN is not finite");
+        let other = caught(|| std::panic::panic_any(7u32));
+        assert_eq!(panic_message(&*other), "<non-string payload>");
+    }
+
+    /// A NaN tile scale panics in the cell library; the failed job
+    /// carries that message, not a placeholder.
+    #[test]
+    fn a_panicking_job_reports_its_message() {
+        let service = DseService::start(DseConfig::default()).unwrap();
+        let client = service.client();
+        let mut spec = fast_spec();
+        spec.tile.scale = f64::NAN;
+        let id = client.submit(spec).unwrap();
+        match client.wait(id) {
+            Err(JobError::Failed(msg)) => {
+                assert!(msg.starts_with("flow panicked: area_scale"), "{msg}")
+            }
+            other => panic!("expected a failed job, got {other:?}"),
+        }
         service.shutdown();
     }
 

@@ -76,6 +76,14 @@ fn bad(msg: impl Into<String>) -> KnobError {
 /// the paper's headline sweep dimensions (cache sizes, metal/BEOL
 /// stacks, F2F pitch) plus flow/backend selection and the knobs the
 /// smoke tests turn down for speed.
+///
+/// # Errors
+///
+/// An unknown knob, a value that does not parse, a `scale` that is not
+/// a finite number >= 1, a `budget_wall_s` that is not a finite
+/// number > 0, or a config that then breaks a
+/// [`macro3d::FlowConfig::validate`] rule (the error names the field).
+/// On error the spec is left half-applied and should be dropped.
 pub fn apply_knob(spec: &mut JobSpec, knob: &str, value: &str) -> Result<(), KnobError> {
     fn num<T: std::str::FromStr>(knob: &str, value: &str) -> Result<T, KnobError> {
         value
@@ -98,17 +106,17 @@ pub fn apply_knob(spec: &mut JobSpec, knob: &str, value: &str) -> Result<(), Kno
         "l2_kb" => spec.tile.l2_kb = num(knob, value)?,
         "l3_kb" => spec.tile.l3_kb = num(knob, value)?,
         "scale" => {
-            let scale: f64 = num(knob, value)?;
-            if scale < 1.0 {
-                return Err(bad("scale must be >= 1"));
-            }
-            spec.tile.scale = scale;
+            // the rule the experiment binaries apply to `--scale`
+            let scale = value.parse::<f64>().ok();
+            spec.tile.scale = scale
+                .filter(|s| s.is_finite() && *s >= 1.0)
+                .ok_or_else(|| bad(format!("scale must be a finite number >= 1, got '{value}'")))?;
         }
         "seed" => spec.tile.seed = num(knob, value)?,
-        "logic_metals" => spec.config.logic_metals = nonzero(num(knob, value)?, knob)?,
-        "macro_metals" => spec.config.macro_metals = nonzero(num(knob, value)?, knob)?,
-        "util_logic" => spec.config.util_logic = unit_open(num(knob, value)?, knob)?,
-        "util_macro" => spec.config.util_macro = unit_open(num(knob, value)?, knob)?,
+        "logic_metals" => spec.config.logic_metals = num(knob, value)?,
+        "macro_metals" => spec.config.macro_metals = num(knob, value)?,
+        "util_logic" => spec.config.util_logic = num(knob, value)?,
+        "util_macro" => spec.config.util_macro = num(knob, value)?,
         "halo_um" => spec.config.halo_um = num(knob, value)?,
         "sizing_rounds" => spec.config.sizing_rounds = num(knob, value)?,
         "route_iterations" => spec.config.route.iterations = num(knob, value)?,
@@ -138,11 +146,13 @@ pub fn apply_knob(spec: &mut JobSpec, knob: &str, value: &str) -> Result<(), Kno
             spec.config.budget.wall_clock = if value == "none" {
                 None
             } else {
-                let secs: f64 = num(knob, value)?;
-                if secs <= 0.0 {
-                    return Err(bad("budget_wall_s must be > 0 (or 'none')"));
-                }
-                Some(std::time::Duration::from_secs_f64(secs))
+                let secs = value.parse::<f64>().ok();
+                let wall = secs.and_then(|s| std::time::Duration::try_from_secs_f64(s).ok());
+                Some(wall.filter(|w| !w.is_zero()).ok_or_else(|| {
+                    bad(format!(
+                        "budget_wall_s must be a finite number > 0 (or 'none'), got '{value}'"
+                    ))
+                })?)
             };
         }
         "fault_site" => {
@@ -156,23 +166,9 @@ pub fn apply_knob(spec: &mut JobSpec, knob: &str, value: &str) -> Result<(), Kno
         }
         _ => return Err(bad(format!("unknown knob '{knob}'"))),
     }
-    Ok(())
-}
-
-fn nonzero(v: usize, knob: &str) -> Result<usize, KnobError> {
-    if v == 0 {
-        Err(bad(format!("{knob} must be >= 1")))
-    } else {
-        Ok(v)
-    }
-}
-
-fn unit_open(v: f64, knob: &str) -> Result<f64, KnobError> {
-    if v > 0.0 && v <= 1.0 {
-        Ok(v)
-    } else {
-        Err(bad(format!("{knob} must be in (0, 1]")))
-    }
+    spec.config
+        .validate()
+        .map_err(|e| bad(format!("{knob}={value}: {e}")))
 }
 
 /// Expands the grid into points, odometer order (last axis fastest).
@@ -402,9 +398,29 @@ mod tests {
         assert!(apply_knob(&mut spec, "f2f_pitch_um", "none").is_ok());
         assert_eq!(spec.config.route.f2f_pitch_um, None);
         assert!(apply_knob(&mut spec, "warp_factor", "9").is_err());
-        assert!(apply_knob(&mut spec, "util_logic", "1.5").is_err());
-        assert!(apply_knob(&mut spec, "scale", "0.5").is_err());
         assert!(apply_knob(&mut spec, "placer", "quantum").is_err());
+        for bad in ["0.5", "nan", "inf", "x"] {
+            let err = apply_knob(&mut base(), "scale", bad).unwrap_err();
+            assert!(err.to_string().contains("scale must be"), "{bad}: {err}");
+        }
+        for bad in ["0", "-1", "nan", "inf", "1e300"] {
+            let err = apply_knob(&mut base(), "budget_wall_s", bad).unwrap_err();
+            assert!(err.to_string().contains("budget_wall_s"), "{bad}: {err}");
+        }
+        // out-of-range values are refused by the config's rule table,
+        // which names the field
+        for (knob, value, field) in [
+            ("util_logic", "1.5", "util_logic must be in (0, 1]"),
+            ("util_logic", "60", "util_logic must be in (0, 1]"),
+            ("macro_metals", "0", "macro_metals must be >= 1"),
+            ("halo_um", "-50", "halo_um must be finite and >= 0"),
+            ("route_iterations", "0", "route.iterations must be >= 1"),
+            ("f2f_pitch_um", "-1", "route.f2f_pitch_um must be finite"),
+        ] {
+            let err = apply_knob(&mut base(), knob, value).unwrap_err();
+            assert!(err.to_string().contains(field), "{knob}={value}: {err}");
+        }
+        assert!(apply_knob(&mut base(), "route_iterations", "1").is_ok());
     }
 
     #[test]

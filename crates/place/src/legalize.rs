@@ -182,16 +182,6 @@ pub fn legalize(
             }
             None => {
                 report.failed += 1;
-                if std::env::var_os("MACRO3D_LEGAL_DEBUG").is_some() {
-                    let widest = row_free.iter().max().copied().unwrap_or(Dbu(0));
-                    eprintln!(
-                        "  [legalize-fail] {} w={:?} target={:?} widest_free={:?}",
-                        design.inst(inst).name,
-                        width,
-                        target,
-                        widest
-                    );
-                }
                 // keep the cell inside the die even when no legal slot
                 // exists (an overfull die is reported, not hidden)
                 let r = placement.rect(design, inst);

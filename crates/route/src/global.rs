@@ -23,16 +23,16 @@ use macro3d_geom::{BinIx, Dbu, Point, Rect};
 use macro3d_netlist::NetId;
 use macro3d_par::{checkpoint, note_degradation, parallel_map_with, Checkpoint, Parallelism};
 use macro3d_tech::stack::MetalStack;
-use std::fmt;
 
-/// Router configuration.
+/// Router configuration. Plain data: the flows check its ranges in
+/// `FlowConfig::validate` (the `macro3d` crate) before routing.
 #[derive(Clone, Copy, Debug)]
 pub struct RouteConfig {
     /// GCell pitch, µm.
     pub gcell_um: f64,
     /// Fraction of raw tracks available to global routing.
     pub utilization: f64,
-    /// Rip-up and re-route iterations.
+    /// Rip-up and re-route iterations, at least 1.
     pub iterations: usize,
     /// Cost of one via transition (in GCell-step units). The router
     /// searches in `f32`, where it must be finite and > 0.
@@ -63,166 +63,6 @@ impl Default for RouteConfig {
             f2f_pitch_um: Some(1.0),
             parallelism: Parallelism::default(),
         }
-    }
-}
-
-impl RouteConfig {
-    /// Starts a validating builder from the defaults (the router
-    /// sibling of `FlowConfig::builder`).
-    pub fn builder() -> RouteConfigBuilder {
-        RouteConfigBuilder {
-            cfg: RouteConfig::default(),
-        }
-    }
-}
-
-/// A rejected [`RouteConfig`] field (see [`RouteConfigBuilder::build`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum RouteConfigError {
-    /// A length that must be strictly positive was not.
-    NonPositive {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
-    /// `utilization` fell outside `(0, 1]`.
-    Utilization {
-        /// Rejected value.
-        value: f64,
-    },
-    /// `iterations` was zero (the router must run at least one pass).
-    ZeroIterations,
-    /// A search cost that is not finite and > 0 once converted to the
-    /// router's `f32` (NaN, negative, zero, underflowing or
-    /// overflowing values).
-    InvalidCost {
-        /// Offending field.
-        field: &'static str,
-        /// Rejected value.
-        value: f64,
-    },
-}
-
-impl fmt::Display for RouteConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RouteConfigError::NonPositive { field, value } => {
-                write!(f, "{field} must be > 0, got {value}")
-            }
-            RouteConfigError::Utilization { value } => {
-                write!(f, "utilization must be in (0, 1], got {value}")
-            }
-            RouteConfigError::ZeroIterations => {
-                write!(f, "iterations must be >= 1")
-            }
-            RouteConfigError::InvalidCost { field, value } => {
-                write!(f, "{field} must be finite and > 0 as f32, got {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RouteConfigError {}
-
-/// Builds a [`RouteConfig`] with range validation. Obtain one via
-/// [`RouteConfig::builder`].
-///
-/// # Examples
-///
-/// ```
-/// use macro3d_route::RouteConfig;
-///
-/// let cfg = RouteConfig::builder()
-///     .gcell_um(5.0)
-///     .iterations(4)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.iterations, 4);
-///
-/// assert!(RouteConfig::builder().utilization(1.5).build().is_err());
-/// ```
-#[derive(Clone, Debug)]
-pub struct RouteConfigBuilder {
-    cfg: RouteConfig,
-}
-
-impl RouteConfigBuilder {
-    /// GCell pitch, µm.
-    pub fn gcell_um(mut self, um: f64) -> Self {
-        self.cfg.gcell_um = um;
-        self
-    }
-
-    /// Fraction of raw tracks available to global routing, `(0, 1]`.
-    pub fn utilization(mut self, u: f64) -> Self {
-        self.cfg.utilization = u;
-        self
-    }
-
-    /// Rip-up and re-route iterations (at least 1).
-    pub fn iterations(mut self, n: usize) -> Self {
-        self.cfg.iterations = n;
-        self
-    }
-
-    /// Cost of one via transition, in GCell-step units (finite and
-    /// > 0 as `f32`).
-    pub fn via_cost(mut self, cost: f64) -> Self {
-        self.cfg.via_cost = cost;
-        self
-    }
-
-    /// Maximum routed net degree (bigger nets are skipped).
-    pub fn max_net_degree(mut self, degree: usize) -> Self {
-        self.cfg.max_net_degree = degree;
-        self
-    }
-
-    /// F2F bond pitch for the sign-off bump-density count (`None`
-    /// disables it; the router never reads it).
-    pub fn f2f_pitch_um(mut self, pitch: Option<f64>) -> Self {
-        self.cfg.f2f_pitch_um = pitch;
-        self
-    }
-
-    /// Worker threads and commit chunk size.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.cfg.parallelism = par;
-        self
-    }
-
-    /// Validates every range and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RouteConfigError`] encountered: a
-    /// non-positive (or NaN) `gcell_um`, a `utilization` outside
-    /// `(0, 1]`, zero `iterations`, or a `via_cost` that is not
-    /// finite and > 0 as `f32`.
-    pub fn build(self) -> Result<RouteConfig, RouteConfigError> {
-        let cfg = self.cfg;
-        if cfg.gcell_um.is_nan() || cfg.gcell_um <= 0.0 {
-            return Err(RouteConfigError::NonPositive {
-                field: "gcell_um",
-                value: cfg.gcell_um,
-            });
-        }
-        if !(cfg.utilization > 0.0 && cfg.utilization <= 1.0) {
-            return Err(RouteConfigError::Utilization {
-                value: cfg.utilization,
-            });
-        }
-        if cfg.iterations == 0 {
-            return Err(RouteConfigError::ZeroIterations);
-        }
-        if !valid_search_cost(cfg.via_cost) {
-            return Err(RouteConfigError::InvalidCost {
-                field: "via_cost",
-                value: cfg.via_cost,
-            });
-        }
-        Ok(cfg)
     }
 }
 
@@ -705,100 +545,21 @@ mod tests {
         assert_eq!(r.f2f_bumps, 0);
     }
 
-    #[test]
-    fn builder_validates_ranges() {
-        assert!(RouteConfig::builder().build().is_ok());
-        let cfg = RouteConfig::builder()
-            .gcell_um(5.0)
-            .utilization(0.25)
-            .iterations(7)
-            .via_cost(1.0)
-            .max_net_degree(64)
-            .f2f_pitch_um(None)
-            .parallelism(Parallelism::serial())
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.gcell_um, 5.0);
-        assert_eq!(cfg.iterations, 7);
-        assert_eq!(cfg.max_net_degree, 64);
-        assert!(cfg.f2f_pitch_um.is_none());
-
-        for bad in [0.0, -1.0, f64::NAN] {
-            assert!(matches!(
-                RouteConfig::builder().gcell_um(bad).build().unwrap_err(),
-                RouteConfigError::NonPositive {
-                    field: "gcell_um",
-                    ..
-                }
-            ));
-        }
-        for bad in [0.0, -0.5, 1.01, f64::NAN] {
-            assert!(matches!(
-                RouteConfig::builder().utilization(bad).build().unwrap_err(),
-                RouteConfigError::Utilization { .. }
-            ));
-        }
-        assert_eq!(
-            RouteConfig::builder().iterations(0).build().unwrap_err(),
-            RouteConfigError::ZeroIterations
-        );
-        // errors render the offending field/value
-        let msg = RouteConfig::builder()
-            .gcell_um(-2.0)
-            .build()
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("gcell_um") && msg.contains("-2"), "{msg}");
-    }
-
-    /// NaN would block every A* via step and poison the pattern costs.
-    #[test]
-    fn builder_rejects_nan_via_cost() {
-        assert_eq!(
-            RouteConfig::builder()
-                .via_cost(f64::NAN)
-                .build()
-                .unwrap_err()
-                .to_string(),
-            "via_cost must be finite and > 0 as f32, got NaN"
-        );
-    }
-
-    /// A negative cost would make edge costs negative; zero, and
-    /// values that reach `f32` as 0 or infinity, are rejected too.
-    #[test]
-    fn builder_rejects_negative_via_cost() {
-        for bad in [-2.0, -0.0, 0.0, 1e-60, 1e60, f64::INFINITY] {
-            assert!(
-                matches!(
-                    RouteConfig::builder().via_cost(bad).build().unwrap_err(),
-                    RouteConfigError::InvalidCost {
-                        field: "via_cost",
-                        ..
-                    }
-                ),
-                "{bad}"
-            );
-        }
-        for good in [1e-30, 0.5, 2.0, 1e30] {
-            assert!(RouteConfig::builder().via_cost(good).build().is_ok());
-        }
-    }
-
-    /// A via cost the builder accepts can still push a dirty pattern's
-    /// cost past what `to_millis` represents: its `u64` bound then
-    /// saturates instead of overflowing (a panic in test builds, and a
-    /// bound of 7 that prunes every state in release).
+    /// A via cost [`valid_search_cost`] accepts can still push a dirty
+    /// pattern's cost past what `to_millis` represents: its `u64` bound
+    /// then saturates instead of overflowing (a panic in test builds,
+    /// and a bound of 7 that prunes every state in release).
     #[test]
     fn huge_via_cost_saturates_the_pattern_bound() {
         let stack = n28_stack(4, DieRole::Logic);
-        let cfg = RouteConfig::builder()
-            .via_cost(1e30)
-            .utilization(0.02)
-            .iterations(1)
-            .parallelism(Parallelism::serial().with_chunk_size(1))
-            .build()
-            .expect("finite and > 0 as f32");
+        assert!(valid_search_cost(1e30), "finite and > 0 as f32");
+        let cfg = RouteConfig {
+            via_cost: 1e30,
+            utilization: 0.02,
+            iterations: 1,
+            parallelism: Parallelism::serial().with_chunk_size(1),
+            ..RouteConfig::default()
+        };
         // identical L-shaped nets over a starved grid, committed one at
         // a time: once the first few fill every candidate corridor,
         // each pattern goes dirty

@@ -33,10 +33,7 @@ pub mod steiner;
 
 pub use congestion::{CongestionReport, LayerCongestion};
 pub use gcell::RouteGrid;
-pub use global::{
-    route_design, valid_search_cost, RouteConfig, RouteConfigBuilder, RouteConfigError, RoutePin,
-    RouteRequest,
-};
+pub use global::{route_design, valid_search_cost, RouteConfig, RoutePin, RouteRequest};
 pub use macro3d_par::Parallelism;
 pub use routed::{RouteSeg, RoutedDesign, RoutedNet, Via};
 pub use steiner::{steiner_edges, steiner_length};

@@ -301,6 +301,63 @@ fn ndjson_protocol_round_trip() {
     service.shutdown();
 }
 
+/// Out-of-range values are refused by name through the protocol: a
+/// bad knob at `submit`, a bad `config` object when its job runs (the
+/// flow refuses it before any stage), and the session keeps serving.
+#[test]
+fn out_of_range_values_are_refused_by_name() {
+    let service = DseService::start(DseConfig::default()).unwrap();
+    let client = service.client();
+    let percent = macro3d::flow_config_to_json(&macro3d::FlowConfig {
+        util_logic: 60.0,
+        ..macro3d::FlowConfig::default()
+    });
+    let submit = |spec: String| format!(r#"{{"cmd":"submit","spec":{spec}}}"#);
+    let knob = |k: &str, v: &str| {
+        submit(format!(
+            r#"{{"flow":"Macro-3D","tile":"mini","knobs":{{"{k}":"{v}"}}}}"#
+        ))
+    };
+    let requests = [
+        submit(format!(
+            r#"{{"flow":"Macro-3D","tile":"mini","config":{}}}"#,
+            percent.emit()
+        )),
+        r#"{"cmd":"wait","job":1}"#.to_string(),
+        knob("halo_um", "-50"),
+        knob("route_iterations", "0"),
+        knob("scale", "nan"),
+        knob("budget_wall_s", "nan"),
+        r#"{"cmd":"ping"}"#.to_string(),
+    ]
+    .join("\n");
+    let mut out = Vec::new();
+    serve(Cursor::new(requests), &mut out, &client).unwrap();
+    let lines: Vec<Json> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .collect();
+
+    assert_eq!(lines.len(), 7);
+    assert_eq!(lines[0].get("job").and_then(Json::as_u64), Some(1));
+    for (line, want) in [
+        (1, "util_logic must be in (0, 1], got 60"),
+        (2, "halo_um must be finite and >= 0, got -50"),
+        (3, "route.iterations must be >= 1, got 0"),
+        (4, "scale must be a finite number >= 1, got 'nan'"),
+        (5, "budget_wall_s must be a finite number > 0"),
+    ] {
+        assert_eq!(lines[line].get("ok").and_then(Json::as_bool), Some(false));
+        let error = lines[line].get("error").and_then(Json::as_str);
+        assert!(error.is_some_and(|e| e.contains(want)), "{error:?}");
+    }
+    assert_eq!(lines[6].get("reply").and_then(Json::as_str), Some("pong"));
+    let stats = client.stats();
+    assert_eq!((stats.jobs_done, stats.jobs_failed), (0, 1));
+    service.shutdown();
+}
+
 /// Submissions survive queue-full backpressure without deadlock or
 /// loss: more jobs than queue slots, all complete.
 #[test]
