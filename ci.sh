@@ -77,35 +77,18 @@ print('dse server smoke OK: 4 points, warm cache hits', stats['cache_hits'])
 "
 
 echo "==> config refusals (range rules and a failed --out write, through the release binaries)"
-# One server session: a config object with util_logic in percent
-# fails its job at wait (the flow refuses it before any stage),
-# out-of-range knobs are refused at submit, and each error names its
-# field. The session must still answer ping afterwards.
+# One server session: a config object with util_logic in percent and
+# out-of-range knobs are each refused at submit, naming the field, with
+# no job created and no counter moved. The session must still answer
+# ping afterwards.
 python3 - > target/dse_refusals_req.ndjson <<'PY'
 import json
-# FlowConfig::default() as flow_config_to_json writes it, but with
-# util_logic given in percent
-config = {
-    'logic_metals': 6, 'macro_metals': 6, 'util_logic': 60, 'util_macro': 0.85,
-    'halo_um': 2, 'repeater_max_len_um': 150,
-    'route': {'gcell_um': 10, 'utilization': 0.5, 'iterations': 3, 'via_cost': 2,
-              'max_net_degree': 512, 'f2f_pitch_um': 1,
-              'parallelism': {'threads': 0, 'chunk_size': 32}},
-    'cts': {'max_fanout': 24, 'repeater_spacing_um': 200},
-    'sizing_rounds': 8, 'partial_blockage_period_um': 8,
-    'place': {'min_cells': 8, 'fm_passes': 2, 'max_net_degree': 64,
-              'parallelism': {'threads': 0, 'chunk_size': 32}, 'backend': 'bisection',
-              'analytical': {'max_iters': 512, 'target_overflow': 0.08,
-                             'lambda_growth': 1.05}},
-    'parallelism': {'threads': 0, 'chunk_size': 32}, 'obs': 'off',
-    'budget': {'wall_clock_ns': None, 'caps': []}, 'fault_plan': None,
-}
 def submit(**spec):
     return {'cmd': 'submit', 'spec': dict(flow='Macro-3D', tile='mini', **spec)}
-for request in [submit(config=config), {'cmd': 'wait', 'job': 1},
+for request in [submit(config={'util_logic': 60}),
                 submit(knobs={'halo_um': '-50'}), submit(knobs={'route_iterations': '0'}),
                 submit(knobs={'scale': 'nan'}), submit(knobs={'budget_wall_s': 'nan'}),
-                {'cmd': 'ping'}]:
+                {'cmd': 'stats'}, {'cmd': 'ping'}]:
     print(json.dumps(request))
 PY
 ./target/release/dse_server --workers 1 < target/dse_refusals_req.ndjson \
@@ -114,12 +97,14 @@ python3 -c "
 import json
 lines = [json.loads(l) for l in open('target/dse_refusals.ndjson') if l.strip()]
 assert len(lines) == 7, lines
-assert lines[0]['ok'] is True and lines[0]['job'] == 1, lines[0]
 fields = ('util_logic', 'halo_um', 'route.iterations', 'scale', 'budget_wall_s')
-for line, field in zip(lines[1:6], fields):
+for line, field in zip(lines[:5], fields):
     assert line['ok'] is False and field in line['error'], (field, line)
+stats = lines[5]['stats']
+for counter in ('flows_executed', 'jobs_done', 'jobs_failed', 'cache_misses'):
+    assert stats[counter] == 0, (counter, stats)
 assert lines[6] == {'ok': True, 'reply': 'pong'}, lines[6]
-print('config refusals OK:', '; '.join(l['error'] for l in lines[1:6]))
+print('config refusals OK:', '; '.join(l['error'] for l in lines[:5]))
 "
 # a table that cannot be written is a failed run
 if ./target/release/dse_sweep --tile mini --set route_iterations=1 --set sizing_rounds=0 \

@@ -71,8 +71,8 @@ impl FlowConfig {
     /// (flow or router) outside `(0, 1]`; a metal-layer count, router
     /// iteration count or parallelism chunk size (flow, router or
     /// placer) of zero; a length that is not finite and > 0 (repeater
-    /// threshold, partial-blockage period, GCell pitch, and the F2F
-    /// bond pitch when set); a halo that is not finite and >= 0; or a
+    /// threshold, partial-blockage period, and the F2F bond pitch when
+    /// set); a halo that is not finite and >= 0; or a
     /// router `via_cost` that is not finite and > 0 once converted to
     /// the router's `f32` (see [`macro3d_route::valid_search_cost`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -106,7 +106,6 @@ impl FlowConfig {
                 "partial_blockage_period_um",
                 self.partial_blockage_period_um,
             ),
-            ("route.gcell_um", self.route.gcell_um),
         ]
         .into_iter()
         .chain(pitch)
@@ -243,7 +242,7 @@ mod tests {
 
     /// One out-of-range value per field of the rule table.
     type Edit = fn(&mut FlowConfig);
-    const ONE_BAD_VALUE_PER_FIELD: [(&str, Edit); 15] = [
+    const ONE_BAD_VALUE_PER_FIELD: [(&str, Edit); 14] = [
         ("util_logic", |c| c.util_logic = 60.0),
         ("util_macro", |c| c.util_macro = 0.0),
         ("route.utilization", |c| c.route.utilization = 1.01),
@@ -261,7 +260,6 @@ mod tests {
         ("partial_blockage_period_um", |c| {
             c.partial_blockage_period_um = -8.0
         }),
-        ("route.gcell_um", |c| c.route.gcell_um = f64::NAN),
         ("route.f2f_pitch_um", |c| c.route.f2f_pitch_um = Some(-1.0)),
         ("halo_um", |c| c.halo_um = -50.0),
         ("route.via_cost", |c| c.route.via_cost = f64::NAN),
@@ -304,11 +302,6 @@ mod tests {
     fn rejects_bad_lengths() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert_eq!(
-                refused(|c| c.route.gcell_um = bad),
-                Some("route.gcell_um"),
-                "{bad}"
-            );
-            assert_eq!(
                 refused(|c| c.repeater_max_len_um = bad),
                 Some("repeater_max_len_um"),
                 "{bad}"
@@ -325,7 +318,7 @@ mod tests {
                 "{bad}"
             );
         }
-        assert_eq!(refused(|c| c.route.gcell_um = 5.0), None);
+        assert_eq!(refused(|c| c.repeater_max_len_um = 5.0), None);
         assert_eq!(refused(|c| c.route.f2f_pitch_um = None), None);
         assert_eq!(refused(|c| c.route.f2f_pitch_um = Some(10.0)), None);
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
@@ -389,11 +382,13 @@ mod tests {
         let err = FlowConfig::builder().util_logic(65.0).build().unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("util_logic") && msg.contains("65"), "{msg}");
-        let mut cfg = FlowConfig::default();
-        cfg.route.gcell_um = -2.0;
+        let cfg = FlowConfig {
+            partial_blockage_period_um: -2.0,
+            ..FlowConfig::default()
+        };
         let msg = cfg.validate().unwrap_err().to_string();
         assert!(
-            msg.contains("route.gcell_um") && msg.contains("-2"),
+            msg.contains("partial_blockage_period_um") && msg.contains("-2"),
             "{msg}"
         );
     }

@@ -1,10 +1,11 @@
 //! The typed [`FlowError`] taxonomy for fallible flow execution.
 //!
 //! [`crate::flows::Flow::try_run`] returns one of these instead of
-//! panicking: each variant names the stage that failed and carries
-//! enough context to diagnose the run (the offending flow, die, or
-//! fault-injection site). Hand-rolled like [`crate::ConfigError`] —
-//! no external error crates.
+//! panicking. There are three ways a run fails: a config field out of
+//! range, a floorplan that cannot fit the design, and an error a fault
+//! plan injects; each variant carries what diagnoses its case (the
+//! field, the stage and die, or the checkpoint site). Hand-rolled like
+//! [`crate::ConfigError`] — no external error crates.
 //!
 //! The taxonomy deliberately distinguishes *failure* (this type) from
 //! *degradation* ([`macro3d_par::DegradationReport`] on a successful
@@ -30,35 +31,6 @@ pub enum FlowError {
         /// What did not fit, and where.
         detail: String,
     },
-    /// Placement failed to produce a usable layout.
-    Place {
-        /// The stage that failed.
-        stage: &'static str,
-        /// Context for the failure.
-        detail: String,
-    },
-    /// Routing failed outright (distinct from *degraded* routing,
-    /// which returns best-so-far paths plus a degradation record).
-    Route {
-        /// The stage that failed.
-        stage: &'static str,
-        /// Context for the failure.
-        detail: String,
-    },
-    /// Extraction failed to produce parasitics.
-    Extract {
-        /// The stage that failed.
-        stage: &'static str,
-        /// Context for the failure.
-        detail: String,
-    },
-    /// Timing analysis or optimization failed.
-    Sta {
-        /// The stage that failed.
-        stage: &'static str,
-        /// Context for the failure.
-        detail: String,
-    },
     /// A fault plan injected an error at a flow gate (see
     /// [`macro3d_par::FaultPlan`] and [`macro3d_par::FaultAction::Error`]).
     Injected {
@@ -76,14 +48,6 @@ impl fmt::Display for FlowError {
             FlowError::Floorplan { stage, detail } => {
                 write!(f, "floorplan failed at {stage}: {detail}")
             }
-            FlowError::Place { stage, detail } => {
-                write!(f, "placement failed at {stage}: {detail}")
-            }
-            FlowError::Route { stage, detail } => write!(f, "routing failed at {stage}: {detail}"),
-            FlowError::Extract { stage, detail } => {
-                write!(f, "extraction failed at {stage}: {detail}")
-            }
-            FlowError::Sta { stage, detail } => write!(f, "STA failed at {stage}: {detail}"),
             FlowError::Injected { site, visit } => {
                 write!(f, "injected error at site {site} (visit {visit})")
             }

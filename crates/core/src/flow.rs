@@ -16,8 +16,8 @@ use macro3d_route::{route_design, RouteConfig, RouteRequest, RoutedDesign};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
     analyze_power, clock_arrivals, insert_repeaters, synthesize_clock_tree, upsize_critical_path,
-    ClockArrivals, ClockTree, CtsConfig, HoldReport, PowerInput, PowerReport, StaConstraints,
-    StaInput, StaSession, TimingReport,
+    ClockArrivals, ClockTree, HoldReport, PowerInput, PowerReport, StaConstraints, StaInput,
+    StaSession, TimingReport,
 };
 use macro3d_tech::stack::{DieRole, MetalStack};
 use macro3d_tech::Corner;
@@ -52,8 +52,6 @@ pub struct FlowConfig {
     pub repeater_max_len_um: f64,
     /// Router settings (including the router's own parallelism knob).
     pub route: RouteConfig,
-    /// CTS settings.
-    pub cts: CtsConfig,
     /// Post-route sizing iterations.
     pub sizing_rounds: usize,
     /// Quantization period for partial blockages in the S2D/C2D
@@ -94,7 +92,6 @@ impl Default for FlowConfig {
             halo_um: 2.0,
             repeater_max_len_um: 150.0,
             route: RouteConfig::default(),
-            cts: CtsConfig::default(),
             sizing_rounds: 8,
             partial_blockage_period_um: 8.0,
             place: GlobalPlaceConfig::default(),
@@ -686,9 +683,8 @@ pub(crate) fn place_pipeline(
         }
         new_cells.extend(inserted);
     }
-    let mut cts_cfg = cfg.cts;
-    cts_cfg.repeater_spacing_um *= scale_len;
-    let tree = synthesize_clock_tree(design, &mut placement, constraints.clock_net, &cts_cfg);
+    let spacing = macro3d_sta::cts::REPEATER_SPACING_UM * scale_len;
+    let tree = synthesize_clock_tree(design, &mut placement, constraints.clock_net, spacing);
     new_cells.extend(tree.buffers.iter().copied());
 
     timer.mark("repeaters+cts");
@@ -891,12 +887,8 @@ pub(crate) fn finish_design(
             routed
         }
     };
-    let f2f_overcrowded_gcells = routed.f2f_overcrowded_gcells(
-        fp.die(),
-        stack.f2f_cut(),
-        cfg.route.gcell_um,
-        cfg.route.f2f_pitch_um,
-    );
+    let f2f_overcrowded_gcells =
+        routed.f2f_overcrowded_gcells(fp.die(), stack.f2f_cut(), cfg.route.f2f_pitch_um);
     timer.mark("route");
     flow_gate("flow/extract")?;
     let restored = reuse.as_deref().and_then(StageReuse::extract_snap);

@@ -33,10 +33,10 @@ use macro3d_par::{
     DegradationReport, FaultAction, FaultPlan, FlowBudget, Parallelism, StageDegradation,
     StopReason,
 };
-use macro3d_place::{AnalyticalConfig, GlobalPlaceConfig, PlacerBackend};
+use macro3d_place::{GlobalPlaceConfig, PlacerBackend};
 use macro3d_route::RouteConfig;
 use macro3d_soc::TileConfig;
-use macro3d_sta::{CtsConfig, PowerReport, TimingReport};
+use macro3d_sta::{PowerReport, TimingReport};
 use std::fmt;
 use std::time::Duration;
 
@@ -143,15 +143,13 @@ fn parallelism_from_json(v: &Json) -> Result<Parallelism, CodecError> {
     })
 }
 
-// ---- RouteConfig / CtsConfig / GlobalPlaceConfig ----
+// ---- RouteConfig / GlobalPlaceConfig ----
 
 fn route_config_to_json(r: &RouteConfig) -> Json {
     Json::obj()
-        .field("gcell_um", Json::from_f64(r.gcell_um))
         .field("utilization", Json::from_f64(r.utilization))
         .field("iterations", Json::from_usize(r.iterations))
         .field("via_cost", Json::from_f64(r.via_cost))
-        .field("max_net_degree", Json::from_usize(r.max_net_degree))
         .field(
             "f2f_pitch_um",
             r.f2f_pitch_um.map_or(Json::Null, Json::from_f64),
@@ -162,11 +160,9 @@ fn route_config_to_json(r: &RouteConfig) -> Json {
 fn route_config_from_json(v: &Json) -> Result<RouteConfig, CodecError> {
     let pitch = get(v, "f2f_pitch_um")?;
     Ok(RouteConfig {
-        gcell_um: f64_of(v, "gcell_um")?,
         utilization: f64_of(v, "utilization")?,
         iterations: usize_of(v, "iterations")?,
         via_cost: f64_of(v, "via_cost")?,
-        max_net_degree: usize_of(v, "max_net_degree")?,
         f2f_pitch_um: if pitch.is_null() {
             None
         } else {
@@ -176,24 +172,8 @@ fn route_config_from_json(v: &Json) -> Result<RouteConfig, CodecError> {
     })
 }
 
-fn cts_config_to_json(c: &CtsConfig) -> Json {
-    Json::obj()
-        .field("max_fanout", Json::from_usize(c.max_fanout))
-        .field("repeater_spacing_um", Json::from_f64(c.repeater_spacing_um))
-}
-
-fn cts_config_from_json(v: &Json) -> Result<CtsConfig, CodecError> {
-    Ok(CtsConfig {
-        max_fanout: usize_of(v, "max_fanout")?,
-        repeater_spacing_um: f64_of(v, "repeater_spacing_um")?,
-    })
-}
-
 fn place_config_to_json(p: &GlobalPlaceConfig) -> Json {
     Json::obj()
-        .field("min_cells", Json::from_usize(p.min_cells))
-        .field("fm_passes", Json::from_usize(p.fm_passes))
-        .field("max_net_degree", Json::from_usize(p.max_net_degree))
         .field("parallelism", parallelism_to_json(&p.parallelism))
         .field(
             "backend",
@@ -202,24 +182,10 @@ fn place_config_to_json(p: &GlobalPlaceConfig) -> Json {
                 PlacerBackend::Analytical => "analytical",
             }),
         )
-        .field(
-            "analytical",
-            Json::obj()
-                .field("max_iters", Json::from_usize(p.analytical.max_iters))
-                .field(
-                    "target_overflow",
-                    Json::from_f64(p.analytical.target_overflow),
-                )
-                .field("lambda_growth", Json::from_f64(p.analytical.lambda_growth)),
-        )
 }
 
 fn place_config_from_json(v: &Json) -> Result<GlobalPlaceConfig, CodecError> {
-    let a = get(v, "analytical")?;
     Ok(GlobalPlaceConfig {
-        min_cells: usize_of(v, "min_cells")?,
-        fm_passes: usize_of(v, "fm_passes")?,
-        max_net_degree: usize_of(v, "max_net_degree")?,
         parallelism: parallelism_from_json(get(v, "parallelism")?)?,
         backend: match str_of(v, "backend")? {
             "bisection" => PlacerBackend::Bisection,
@@ -227,11 +193,6 @@ fn place_config_from_json(v: &Json) -> Result<GlobalPlaceConfig, CodecError> {
             other => {
                 return Err(CodecError::new(format!("unknown placer backend '{other}'")));
             }
-        },
-        analytical: AnalyticalConfig {
-            max_iters: usize_of(a, "max_iters")?,
-            target_overflow: f64_of(a, "target_overflow")?,
-            lambda_growth: f64_of(a, "lambda_growth")?,
         },
     })
 }
@@ -352,7 +313,6 @@ pub fn flow_config_to_json(cfg: &FlowConfig) -> Json {
             Json::from_f64(cfg.repeater_max_len_um),
         )
         .field("route", route_config_to_json(&cfg.route))
-        .field("cts", cts_config_to_json(&cfg.cts))
         .field("sizing_rounds", Json::from_usize(cfg.sizing_rounds))
         .field(
             "partial_blockage_period_um",
@@ -387,7 +347,6 @@ pub fn flow_config_from_json(v: &Json) -> Result<FlowConfig, CodecError> {
         halo_um: f64_of(v, "halo_um")?,
         repeater_max_len_um: f64_of(v, "repeater_max_len_um")?,
         route: route_config_from_json(get(v, "route")?)?,
-        cts: cts_config_from_json(get(v, "cts")?)?,
         sizing_rounds: usize_of(v, "sizing_rounds")?,
         partial_blockage_period_um: f64_of(v, "partial_blockage_period_um")?,
         place: place_config_from_json(get(v, "place")?)?,
@@ -706,10 +665,9 @@ mod tests {
         cfg.route.iterations = 5;
         cfg.route.f2f_pitch_um = None;
         cfg.route.parallelism = Parallelism::threads(4).with_chunk_size(9);
-        cfg.cts.max_fanout = 12;
         cfg.sizing_rounds = 3;
         cfg.place.backend = PlacerBackend::Analytical;
-        cfg.place.analytical.max_iters = 77;
+        cfg.place.parallelism = Parallelism::threads(2).with_chunk_size(5);
         cfg.obs = ObsConfig::summary();
         cfg.budget = FlowBudget::unlimited()
             .with_wall_clock(Duration::from_millis(1234))

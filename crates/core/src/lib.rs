@@ -77,7 +77,7 @@ pub use macro3d_obs::{FlowTrace, ObsConfig, ObsLevel};
 pub use macro3d_par::{
     DegradationReport, FaultAction, FaultPlan, FlowBudget, Parallelism, StopReason, STANDARD_SITES,
 };
-pub use macro3d_place::{AnalyticalConfig, GlobalPlaceConfig, PlacerBackend};
+pub use macro3d_place::{GlobalPlaceConfig, PlacerBackend};
 pub use macro3d_route::{RouteConfig, RouteRequest};
 pub use report::PpaResult;
 pub use stage::{stage_keys, Stage, StageCache, StageKeys, StageReuse};

@@ -39,8 +39,8 @@
 //! | stage     | key fields |
 //! |-----------|------------|
 //! | floorplan | flow name, full `TileConfig`, crate version, budget, fault plan, `logic_metals`, `macro_metals` (not for `2D`), `util_logic`, `util_macro`, `halo_um` |
-//! | place     | `place` (all fields + chunk size), `cts`, `repeater_max_len_um` |
-//! | route     | `route` (all fields + chunk size) except `f2f_pitch_um` |
+//! | place     | `place.backend`, `repeater_max_len_um` |
+//! | route     | `route.{utilization, iterations, via_cost}`, `route.parallelism.chunk_size` |
 //! | extract   | — (inputs fully determined by the prefix) |
 //! | sta       | `sizing_rounds`, `route.f2f_pitch_um` |
 //!
@@ -67,12 +67,16 @@
 //! [`stage_keys`] names every config field with no `..`, so a new
 //! field does not compile until it is assigned to a stage or excluded
 //! with a reason. **Excluded everywhere:** `parallelism.threads` (all
-//! three copies), the top-level `parallelism.chunk_size` and `obs`.
-//! Results are thread-count-invariant per the `macro3d-par` contract,
-//! so a sweep over `threads` reuses the full prefix; the route and
-//! place `chunk_size` *are* keyed because the router's batched
-//! negotiation commits per chunk ("chunk size changes routing results;
-//! the thread count never does").
+//! three copies), the top-level and place `parallelism.chunk_size`,
+//! and `obs`. Results are thread-count-invariant per the `macro3d-par`
+//! contract, so a sweep over `threads` reuses the full prefix; both
+//! placer backends are chunk-size-invariant too. The route
+//! `chunk_size` *is* keyed because the router's batched negotiation
+//! commits per chunk ("chunk size changes routing results; the thread
+//! count never does"). The engines' fixed tuning (GCell pitch, net
+//! degree caps, FM passes, Nesterov schedule, CTS fanout and spacing)
+//! lives in constants of their crates, not in config fields, so no key
+//! names it.
 //!
 //! **Safety guard:** stage caching is disabled outright
 //! ([`StageReuse::begin`] returns `None`) when the config carries a
@@ -86,10 +90,10 @@ use crate::flow::FlowConfig;
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::Design;
 use macro3d_par::Parallelism;
-use macro3d_place::{AnalyticalConfig, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
+use macro3d_place::{Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RoutedDesign};
 use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
-use macro3d_sta::{ClockArrivals, ClockTree, CtsConfig, StaSession, TimingReport};
+use macro3d_sta::{ClockArrivals, ClockTree, StaSession, TimingReport};
 use macro3d_tech::stack::MetalStack;
 use std::sync::Arc;
 
@@ -170,11 +174,9 @@ fn chain(prev: u64, payload: &str) -> u64 {
 
 fn route_payload(r: &RouteConfig) -> String {
     let RouteConfig {
-        gcell_um,
         utilization,
         iterations,
         via_cost,
-        max_net_degree,
         // read only by the sign-off bump-density count, never by the
         // router: it keys the STA stage instead
         f2f_pitch_um: _,
@@ -184,34 +186,21 @@ fn route_payload(r: &RouteConfig) -> String {
             chunk_size,
         },
     } = r;
-    format!(
-        "gcell={gcell_um};util={utilization};iters={iterations};via={via_cost};\
-         deg={max_net_degree};chunk={chunk_size}"
-    )
+    format!("util={utilization};iters={iterations};via={via_cost};chunk={chunk_size}")
 }
 
 fn place_payload(p: &GlobalPlaceConfig) -> String {
     let GlobalPlaceConfig {
-        min_cells,
-        fm_passes,
-        max_net_degree,
-        // keyed like the router's; results never depend on threads
+        // the chunk size only sets how work is handed to threads:
+        // both backends place bit-identically at any thread count and
+        // chunk size (the place-key guard in tests/stage_reuse.rs)
         parallelism: Parallelism {
             threads: _,
-            chunk_size,
+            chunk_size: _,
         },
         backend,
-        analytical:
-            AnalyticalConfig {
-                max_iters,
-                target_overflow,
-                lambda_growth,
-            },
     } = p;
-    format!(
-        "min={min_cells};fm={fm_passes};deg={max_net_degree};backend={backend:?};\
-         ana={max_iters},{target_overflow},{lambda_growth};chunk={chunk_size}"
-    )
+    format!("backend={backend:?}")
 }
 
 /// Computes the chained stage keys for one job. The per-stage field
@@ -228,10 +217,6 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
         halo_um,
         repeater_max_len_um,
         route,
-        cts: CtsConfig {
-            max_fanout,
-            repeater_spacing_um,
-        },
         sizing_rounds,
         partial_blockage_period_um,
         place,
@@ -272,10 +257,7 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
     };
     let floorplan_payload =
         format!("lm={logic_metals};{macro_die}ul={util_logic};um={util_macro};halo={halo_um}");
-    let mut place_stage = format!(
-        "{};cts={max_fanout},{repeater_spacing_um};rep={repeater_max_len_um}",
-        place_payload(place)
-    );
+    let mut place_stage = format!("{};rep={repeater_max_len_um}", place_payload(place));
     if pseudo2d {
         // the pseudo-2D stage consumes these before the final P&R
         place_stage.push_str(&format!(
@@ -622,7 +604,13 @@ mod tests {
             c.obs = macro3d_obs::ObsConfig::summary();
         });
         assert_eq!(base, threaded, "thread/obs knobs must not invalidate");
-        // …but chunk size does (router batching changes results)
+        // neither do the top-level and placer chunk sizes…
+        let chunked = keys(|c| {
+            c.parallelism.chunk_size += 1;
+            c.place.parallelism.chunk_size += 1;
+        });
+        assert_eq!(base, chunked, "placer chunk size must not invalidate");
+        // …but the router's does (its batching changes results)
         let chunked = keys(|c| c.route.parallelism.chunk_size += 1);
         assert_eq!(base.key(Stage::Place), chunked.key(Stage::Place));
         assert_ne!(base.key(Stage::Route), chunked.key(Stage::Route));

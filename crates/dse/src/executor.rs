@@ -29,7 +29,7 @@
 use crate::cache::{CacheStats, CachedResult, ResultCache};
 use crate::{flow_by_name, JobSpec};
 use macro3d::stage::CACHED_STAGES;
-use macro3d::{DegradationReport, FlowTrace, PpaResult};
+use macro3d::{ConfigError, DegradationReport, FlowTrace, PpaResult};
 use macro3d_soc::generate_tile;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -142,10 +142,13 @@ pub struct JobResult {
 }
 
 /// Why `submit` refused a spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SubmitError {
     /// The flow name matches none of [`macro3d::flows::all_flows`].
     UnknownFlow(String),
+    /// The config breaks a [`macro3d::FlowConfig::validate`] rule; the
+    /// error names the field.
+    InvalidConfig(ConfigError),
     /// The service is shutting down.
     ShuttingDown,
 }
@@ -154,6 +157,7 @@ impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubmitError::UnknownFlow(name) => write!(f, "unknown flow '{name}'"),
+            SubmitError::InvalidConfig(e) => write!(f, "invalid flow config: {e}"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
@@ -400,11 +404,14 @@ impl DseClient {
     /// # Errors
     ///
     /// [`SubmitError::UnknownFlow`] for an unrecognized flow name,
+    /// [`SubmitError::InvalidConfig`] for a config out of range (no
+    /// job is created and no counter moves),
     /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         if flow_by_name(&spec.flow).is_none() {
             return Err(SubmitError::UnknownFlow(spec.flow));
         }
+        spec.config.validate().map_err(SubmitError::InvalidConfig)?;
         // route the job to the worker whose stage cache its place-key
         // prefix maps to; stage 1 covers floorplan+place, the
         // expensive reusable prefix

@@ -21,9 +21,12 @@
 //!
 //! A `spec` is `{"flow": "...", "tile": <preset-name or full tile
 //! object>, "config": <config object, optional>, "knobs": {"name":
-//! "value", ...} (optional)}` — knobs go through
-//! [`crate::sweep::apply_knob`] after the base config loads, so
-//! clients can tweak without shipping a full config document.
+//! "value", ...} (optional)}`. A `config` object may be partial: its
+//! members are laid over the default config's JSON (nested objects
+//! member by member), and a member the default lacks is refused by
+//! name, so `{"util_logic": 0.55}` is a whole config. Knobs go through
+//! [`crate::sweep::apply_knob`] after the config loads. `submit`
+//! refuses a config that breaks a range rule before any job exists.
 
 use crate::executor::{DseClient, JobId, JobResult, JobStatus};
 use crate::sweep::{self, PointResult, SweepAxis, SweepSpec};
@@ -218,7 +221,11 @@ pub fn parse_spec(request: &Json) -> Result<JobSpec, String> {
     };
     let config = match spec.get("config") {
         None => FlowConfig::default(),
-        Some(c) => jsonio::flow_config_from_json(c).map_err(|e| e.to_string())?,
+        Some(c) => {
+            let mut full = jsonio::flow_config_to_json(&FlowConfig::default());
+            overlay(&mut full, c, "config")?;
+            jsonio::flow_config_from_json(&full).map_err(|e| e.to_string())?
+        }
     };
     let mut job = JobSpec { flow, tile, config };
     if let Some(knobs) = spec.get("knobs") {
@@ -234,6 +241,28 @@ pub fn parse_spec(request: &Json) -> Result<JobSpec, String> {
         }
     }
     Ok(job)
+}
+
+/// Lays the members of `over` on the object `base`, which is named
+/// `path` in errors: an object member merges into `base`'s object of
+/// the same name, any other value replaces `base`'s, and a member
+/// `base` lacks is refused.
+fn overlay(base: &mut Json, over: &Json, path: &str) -> Result<(), String> {
+    let (Json::Obj(slots), Some(members)) = (base, over.as_obj()) else {
+        return Err(format!("'{path}' must be an object"));
+    };
+    for (key, value) in members {
+        let name = format!("{path}.{key}");
+        let Some((_, slot)) = slots.iter_mut().find(|(k, _)| k == key) else {
+            return Err(format!("unknown config field '{name}'"));
+        };
+        if matches!(slot, Json::Obj(_)) {
+            overlay(slot, value, &name)?;
+        } else {
+            *slot = value.clone();
+        }
+    }
+    Ok(())
 }
 
 fn parse_sweep(request: &Json) -> Result<SweepSpec, String> {

@@ -251,7 +251,7 @@ pub struct SweepOutcome {
 /// # Errors
 ///
 /// A knob error during expansion, or a submit-side error (unknown
-/// flow, service shutdown).
+/// flow, a config out of range, service shutdown).
 pub fn run_sweep(
     client: &DseClient,
     sweep: &SweepSpec,
@@ -297,7 +297,7 @@ pub fn run_sweep(
 }
 
 /// Why [`run_sweep`] aborted (distinct from per-point failures).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepError {
     /// Grid expansion failed.
     Knob(KnobError),

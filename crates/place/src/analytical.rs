@@ -33,7 +33,7 @@
 
 use crate::density::ElectroGrid;
 use crate::floorplan::Floorplan;
-use crate::global::GlobalPlaceConfig;
+use crate::global::{GlobalPlaceConfig, MAX_NET_DEGREE};
 use crate::hpwl::pin_position;
 use crate::nesterov::Nesterov;
 use crate::placement::Placement;
@@ -45,26 +45,14 @@ use macro3d_par::{
     Parallelism,
 };
 
-/// Knobs of the analytical backend (defaults follow ePlace).
-#[derive(Clone, Copy, Debug)]
-pub struct AnalyticalConfig {
-    /// Nesterov iteration cap.
-    pub max_iters: usize,
-    /// Stop once density overflow falls below this fraction.
-    pub target_overflow: f64,
-    /// Geometric growth of the density weight λ per iteration.
-    pub lambda_growth: f64,
-}
+/// Nesterov iteration cap (the constants below follow ePlace).
+const MAX_ITERS: usize = 512;
 
-impl Default for AnalyticalConfig {
-    fn default() -> Self {
-        AnalyticalConfig {
-            max_iters: 512,
-            target_overflow: 0.08,
-            lambda_growth: 1.05,
-        }
-    }
-}
+/// Stop once density overflow falls below this fraction.
+const TARGET_OVERFLOW: f64 = 0.08;
+
+/// Geometric growth of the density weight λ per iteration.
+const LAMBDA_GROWTH: f64 = 1.05;
 
 /// Below this many movable cells the electrostatic model is
 /// meaningless (a couple of charges on an 8×8 grid); recursive
@@ -393,7 +381,7 @@ pub fn analytical_place(
     // normalized charge: the preconditioner and field force scale
     let charge: Vec<f64> = area.iter().map(|a| a / avg_area).collect();
 
-    let csr = NetCsr::build(design, &placement, ports, &local_of, n, cfg.max_net_degree);
+    let csr = NetCsr::build(design, &placement, ports, &local_of, n, MAX_NET_DEGREE);
     let npins: Vec<f64> = (0..n).map(|k| csr.cell_slots(k).len() as f64).collect();
 
     let grid = ElectroGrid::build(fp, n, total_area);
@@ -483,7 +471,6 @@ pub fn analytical_place(
     }
     drop((centroids, next));
 
-    let acfg = cfg.analytical;
     let mut nes = Nesterov::new(init);
     let mut lambda = 0.0f64; // calibrated after the first gradient
                              // the loop's buffers, allocated once: density pipeline, per-slot
@@ -496,12 +483,12 @@ pub fn analytical_place(
     let mut best_overflow = f64::INFINITY;
     let mut stale = 0usize;
 
-    for iter in 0..acfg.max_iters {
+    for iter in 0..MAX_ITERS {
         if let Checkpoint::Stop(reason) = checkpoint("place/nesterov_iters") {
             note_degradation(
                 "place/nesterov_iters",
                 reason,
-                format!("stopped at Nesterov iteration {iter} of {}", acfg.max_iters),
+                format!("stopped at Nesterov iteration {iter} of {MAX_ITERS}"),
             );
             break;
         }
@@ -565,7 +552,7 @@ pub fn analytical_place(
             reg.series("place/step_size").push(alpha);
         }
 
-        if overflow < acfg.target_overflow || alpha == 0.0 {
+        if overflow < TARGET_OVERFLOW || alpha == 0.0 {
             break;
         }
         // plateau guard: once overflow stops improving the density
@@ -580,7 +567,7 @@ pub fn analytical_place(
             }
         }
         nes.step(&grad, alpha, &clamp, &par);
-        lambda *= acfg.lambda_growth;
+        lambda *= LAMBDA_GROWTH;
     }
 
     // round the major solution back to Dbu lower-left corners

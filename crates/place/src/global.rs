@@ -41,36 +41,25 @@ pub enum PlacerBackend {
     Analytical,
 }
 
+/// Bisection stops recursing at this many cells per region.
+pub const MIN_CELLS: usize = 8;
+
+/// FM passes per bisection.
+pub const FM_PASSES: usize = 2;
+
+/// Nets with more pins than this carry no placement information
+/// (clock and other global nets): both backends ignore them.
+pub const MAX_NET_DEGREE: usize = 64;
+
 /// Global-placement configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GlobalPlaceConfig {
-    /// Stop recursing below this many cells per region.
-    pub min_cells: usize,
-    /// FM passes per bisection.
-    pub fm_passes: usize,
-    /// Nets larger than this are ignored during partitioning (clock
-    /// and other global nets carry no placement information).
-    pub max_net_degree: usize,
-    /// Thread budget for the fork-join bisection tree. Output is
-    /// bit-identical for any setting.
+    /// Thread budget for the fork-join bisection tree and the
+    /// analytical kernels. Output is bit-identical for any setting,
+    /// chunk size included.
     pub parallelism: Parallelism,
     /// Which engine places the cells.
     pub backend: PlacerBackend,
-    /// Knobs of the analytical backend (ignored by bisection).
-    pub analytical: crate::analytical::AnalyticalConfig,
-}
-
-impl Default for GlobalPlaceConfig {
-    fn default() -> Self {
-        GlobalPlaceConfig {
-            min_cells: 8,
-            fm_passes: 2,
-            max_net_degree: 64,
-            parallelism: Parallelism::default(),
-            backend: PlacerBackend::default(),
-            analytical: crate::analytical::AnalyticalConfig::default(),
-        }
-    }
 }
 
 /// Runs global placement of all standard cells of `design` inside the
@@ -122,7 +111,7 @@ pub(crate) fn bisection_place(
     let mut inst_nets: Vec<Vec<NetId>> = vec![Vec::new(); design.num_insts()];
     for n in design.net_ids() {
         let pins = &design.net(n).pins;
-        if pins.len() < 2 || pins.len() > cfg.max_net_degree {
+        if pins.len() < 2 || pins.len() > MAX_NET_DEGREE {
             continue;
         }
         for p in pins {
@@ -136,7 +125,6 @@ pub(crate) fn bisection_place(
         design,
         fp,
         ports,
-        cfg,
         inst_nets,
         base: placement.clone(),
     };
@@ -163,7 +151,6 @@ struct PlaceCtx<'a> {
     design: &'a Design,
     fp: &'a Floorplan,
     ports: &'a PortPlan,
-    cfg: &'a GlobalPlaceConfig,
     /// inst -> incident small nets.
     inst_nets: Vec<Vec<NetId>>,
     /// Macro positions and instance footprints for pin lookups. Cell
@@ -190,7 +177,7 @@ fn place_region(
     depth: usize,
 ) -> Vec<(InstId, Point)> {
     let _span = macro3d_obs::span_full!("bisect d{depth} n{}", cells.len());
-    if cells.len() <= ctx.cfg.min_cells {
+    if cells.len() <= MIN_CELLS {
         return spread(ctx, region, &cells);
     }
     let horizontal_split = region.width() >= region.height();
@@ -390,7 +377,7 @@ fn partition_cells(
         frac_a,
         None,
         &FmConfig {
-            passes: ctx.cfg.fm_passes,
+            passes: FM_PASSES,
             balance_tol: 0.08,
         },
     )

@@ -49,7 +49,7 @@ pub mod partition;
 pub mod placement;
 pub mod ports;
 
-pub use analytical::{analytical_place, AnalyticalConfig};
+pub use analytical::analytical_place;
 pub use density::ElectroGrid;
 pub use floorplan::{Blockage, BlockageKind, Floorplan, MacroPlacement};
 pub use global::{global_place, GlobalPlaceConfig, PlacerBackend};

@@ -335,16 +335,6 @@ impl RouteGrid {
             .fold(0.0, f64::max)
     }
 
-    /// Iterates (usage, capacity) over all wire edges of one layer.
-    pub fn layer_edges(&self, layer: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
-        let per = self.per_layer();
-        let start = layer * per;
-        self.usage[start..start + per]
-            .iter()
-            .zip(&self.cap[start..start + per])
-            .map(|(&u, &c)| (u, c))
-    }
-
     /// Accumulates congestion history from current overflow. Only
     /// overflowed edges (tracked by the bitset) are visited; each
     /// one's cost is refreshed in place.

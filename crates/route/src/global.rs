@@ -24,12 +24,17 @@ use macro3d_netlist::NetId;
 use macro3d_par::{checkpoint, note_degradation, parallel_map_with, Checkpoint, Parallelism};
 use macro3d_tech::stack::MetalStack;
 
+/// GCell pitch, µm.
+pub const GCELL_UM: f64 = 10.0;
+
+/// Nets with more pins than this are skipped (pre-CTS clock nets are
+/// routed by CTS instead).
+pub const MAX_NET_DEGREE: usize = 512;
+
 /// Router configuration. Plain data: the flows check its ranges in
 /// `FlowConfig::validate` (the `macro3d` crate) before routing.
 #[derive(Clone, Copy, Debug)]
 pub struct RouteConfig {
-    /// GCell pitch, µm.
-    pub gcell_um: f64,
     /// Fraction of raw tracks available to global routing.
     pub utilization: f64,
     /// Rip-up and re-route iterations, at least 1.
@@ -37,9 +42,6 @@ pub struct RouteConfig {
     /// Cost of one via transition (in GCell-step units). The router
     /// searches in `f32`, where it must be finite and > 0.
     pub via_cost: f64,
-    /// Nets with more pins than this are skipped (pre-CTS clock nets
-    /// are routed by CTS instead).
-    pub max_net_degree: usize,
     /// F2F bond pitch, µm — bounds how many bumps fit per GCell.
     /// Read by the sign-off bump-density count
     /// ([`RoutedDesign::f2f_overcrowded_gcells`]), never by the
@@ -55,11 +57,9 @@ pub struct RouteConfig {
 impl Default for RouteConfig {
     fn default() -> Self {
         RouteConfig {
-            gcell_um: 10.0,
             utilization: 0.5,
             iterations: 3,
             via_cost: 2.0,
-            max_net_degree: 512,
             f2f_pitch_um: Some(1.0),
             parallelism: Parallelism::default(),
         }
@@ -164,12 +164,7 @@ impl<'a> Negotiation<'a> {
     /// Builds the grid, obstacles, search constants, and the Steiner
     /// topology of every routable net.
     fn new(req: &RouteRequest<'a>, cfg: &'a RouteConfig) -> Self {
-        let mut grid = RouteGrid::new(
-            req.die,
-            req.stack,
-            Dbu::from_um(cfg.gcell_um),
-            cfg.utilization,
-        );
+        let mut grid = RouteGrid::new(req.die, req.stack, Dbu::from_um(GCELL_UM), cfg.utilization);
         for &(layer, rect) in req.obstacles {
             grid.add_obstacle(layer, rect);
         }
@@ -191,7 +186,7 @@ impl<'a> Negotiation<'a> {
         let nets = req.nets;
         // 2 pins up to the degree cap; pre-CTS clock nets are routed
         // by CTS instead
-        let routable = |pins: &[RoutePin]| pins.len() >= 2 && pins.len() <= cfg.max_net_degree;
+        let routable = |pins: &[RoutePin]| pins.len() >= 2 && pins.len() <= MAX_NET_DEGREE;
         let topo = nets
             .iter()
             .map(|(_, pins)| {
@@ -684,7 +679,7 @@ mod tests {
         let r = route_once(die(), combined.stack(), &[], &nets, 300, &cfg);
         assert!(r.f2f_bumps >= 300);
         let cut = combined.stack().f2f_cut();
-        let overcrowded = |pitch| r.f2f_overcrowded_gcells(die(), cut, cfg.gcell_um, Some(pitch));
+        let overcrowded = |pitch| r.f2f_overcrowded_gcells(die(), cut, Some(pitch));
         // a coarse bond pitch makes per-gcell capacity tiny
         assert!(
             overcrowded(5.0) > 0,

@@ -24,16 +24,16 @@
 //! The entry point is [`route_design`] ([`global`]): one call routes a
 //! [`RouteRequest`] to a [`RoutedDesign`].
 
-pub mod congestion;
 pub mod gcell;
 pub mod global;
 pub mod routed;
 mod search;
 pub mod steiner;
 
-pub use congestion::{CongestionReport, LayerCongestion};
 pub use gcell::RouteGrid;
-pub use global::{route_design, valid_search_cost, RouteConfig, RoutePin, RouteRequest};
+pub use global::{
+    route_design, valid_search_cost, RouteConfig, RoutePin, RouteRequest, GCELL_UM, MAX_NET_DEGREE,
+};
 pub use macro3d_par::Parallelism;
 pub use routed::{RouteSeg, RoutedDesign, RoutedNet, Via};
 pub use steiner::{steiner_edges, steiner_length};

@@ -82,10 +82,10 @@ impl RoutedDesign {
 
     /// The bump-density check: counts the GCells whose vias on the
     /// F2F cut `f2f_cut` outnumber the bumps a `f2f_pitch_um` bond
-    /// pitch fits in one GCell, `(gcell_um / f2f_pitch_um)²` (at
-    /// least one). GCells are binned over `die` at `gcell_um`, the
-    /// grid the router used. Returns 0 when the stack has no F2F cut
-    /// or no pitch is given.
+    /// pitch fits in one GCell, `(GCELL_UM / f2f_pitch_um)²` (at
+    /// least one). GCells are binned over `die` at
+    /// [`crate::GCELL_UM`], the grid the router used. Returns 0 when
+    /// the stack has no F2F cut or no pitch is given.
     ///
     /// It reads only the finished routes: the pitch never steers the
     /// router, so a pitch change needs a recount, not a re-route.
@@ -93,14 +93,13 @@ impl RoutedDesign {
         &self,
         die: Rect,
         f2f_cut: Option<usize>,
-        gcell_um: f64,
         f2f_pitch_um: Option<f64>,
     ) -> usize {
         let (Some(pitch), Some(cut)) = (f2f_pitch_um, f2f_cut) else {
             return 0;
         };
-        let per_gcell = (gcell_um / pitch).max(1.0).powi(2) as u32;
-        let grid = BinGrid::with_bin_size(die, Dbu::from_um(gcell_um));
+        let per_gcell = (crate::GCELL_UM / pitch).max(1.0).powi(2) as u32;
+        let grid = BinGrid::with_bin_size(die, Dbu::from_um(crate::GCELL_UM));
         let mut counts = vec![0u32; grid.len()];
         for v in self.nets.iter().flatten().flat_map(|r| &r.vias) {
             if v.layer as usize == cut {
@@ -164,13 +163,13 @@ mod tests {
             ..RoutedDesign::default()
         };
         let die = Rect::from_um(0.0, 0.0, 30.0, 30.0);
-        let count = |pitch| routed.f2f_overcrowded_gcells(die, Some(3), 10.0, pitch);
+        let count = |pitch| routed.f2f_overcrowded_gcells(die, Some(3), pitch);
         // a 5um pitch fits (10/5)^2 = 4 bumps per 10um GCell
         assert_eq!(count(Some(5.0)), 1);
         // a pitch coarser than the GCell still fits one bump
         assert_eq!(count(Some(20.0)), 2);
         assert_eq!(count(Some(1.0)), 0);
         assert_eq!(count(None), 0, "no pitch, no check");
-        assert_eq!(routed.f2f_overcrowded_gcells(die, None, 10.0, Some(5.0)), 0);
+        assert_eq!(routed.f2f_overcrowded_gcells(die, None, Some(5.0)), 0);
     }
 }

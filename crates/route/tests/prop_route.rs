@@ -3,7 +3,7 @@
 use macro3d_geom::{Point, Rect};
 use macro3d_netlist::NetId;
 use macro3d_route::{
-    route_design, steiner_length, RouteConfig, RoutePin, RouteRequest, RoutedDesign,
+    route_design, steiner_length, RouteConfig, RoutePin, RouteRequest, RoutedDesign, GCELL_UM,
 };
 use macro3d_tech::stack::MetalStack;
 use macro3d_tech::stack::{n28_stack, DieRole};
@@ -45,14 +45,14 @@ proptest! {
         let r = route(&stack, &nets, &cfg);
         let net = r.net(NetId(0)).expect("routed");
         let manhattan = a.manhattan(b).to_um();
-        let quant = 2.0 * cfg.gcell_um; // endpoint quantization slack
+        let quant = 2.0 * GCELL_UM; // endpoint quantization slack
         prop_assert!(
             net.wirelength_um() + quant >= manhattan - quant,
             "wl {} vs manhattan {manhattan}",
             net.wirelength_um()
         );
         prop_assert!(
-            net.wirelength_um() <= manhattan * 1.6 + 4.0 * cfg.gcell_um,
+            net.wirelength_um() <= manhattan * 1.6 + 4.0 * GCELL_UM,
             "wl {} vs manhattan {manhattan}",
             net.wirelength_um()
         );

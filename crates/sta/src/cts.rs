@@ -18,23 +18,13 @@ use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_place::Placement;
 use macro3d_tech::Corner;
 
-/// CTS tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct CtsConfig {
-    /// Maximum sinks per buffer.
-    pub max_fanout: usize,
-    /// Repeater spacing along long tree edges, µm.
-    pub repeater_spacing_um: f64,
-}
+/// Maximum sinks per clock buffer.
+pub const MAX_FANOUT: usize = 24;
 
-impl Default for CtsConfig {
-    fn default() -> Self {
-        CtsConfig {
-            max_fanout: 24,
-            repeater_spacing_um: 200.0,
-        }
-    }
-}
+/// Repeater spacing along long tree edges for an uncompressed
+/// (`area_scale = 1`) library, µm. The flows scale it by
+/// `sqrt(area_scale)`, like the signal-repeater threshold.
+pub const REPEATER_SPACING_UM: f64 = 200.0;
 
 /// A synthesized clock tree.
 #[derive(Clone, Debug)]
@@ -52,7 +42,9 @@ pub struct ClockTree {
 
 /// Synthesizes a buffered clock tree below `clock_net`, re-homing all
 /// existing sinks onto tree subnets and placing buffers in the
-/// placement (at centroids; legalize afterwards).
+/// placement (at centroids; legalize afterwards). Clusters hold at
+/// most [`MAX_FANOUT`] sinks; a tree edge longer than `spacing_um`
+/// gets a repeater chain.
 ///
 /// # Panics
 ///
@@ -61,7 +53,7 @@ pub fn synthesize_clock_tree(
     design: &mut Design,
     placement: &mut Placement,
     clock_net: NetId,
-    cfg: &CtsConfig,
+    spacing_um: f64,
 ) -> ClockTree {
     let lib = design.library().clone();
     // INVARIANT: generated libraries always provide clock buffers
@@ -98,8 +90,8 @@ pub fn synthesize_clock_tree(
 
     let root_pos = centroid(&items);
     build(
-        design, placement, &mut tree, &mut items, clock_net, root_pos, 0, cfg, buf_cell, buf_in,
-        buf_out,
+        design, placement, &mut tree, &mut items, clock_net, root_pos, 0, spacing_um, buf_cell,
+        buf_in, buf_out,
     );
     if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
         let reg = macro3d_obs::registry();
@@ -119,7 +111,7 @@ fn build(
     driver_net: NetId,
     driver_pos: Point,
     depth: usize,
-    cfg: &CtsConfig,
+    spacing_um: f64,
     buf_cell: macro3d_tech::LibCellId,
     buf_in: u16,
     buf_out: u16,
@@ -128,7 +120,7 @@ fn build(
         tree.depth = tree.depth.max(depth);
         return;
     }
-    if items.len() <= cfg.max_fanout {
+    if items.len() <= MAX_FANOUT {
         for (pin, _) in items.iter() {
             design.connect(driver_net, *pin);
         }
@@ -148,7 +140,7 @@ fn build(
     // sibling subtrees see matched insertion delay (skew control)
     let hops_for = |half: &Vec<(PinRef, Point)>| {
         let c = centroid(half);
-        (driver_pos.manhattan(c).to_um() / cfg.repeater_spacing_um).floor() as usize
+        (driver_pos.manhattan(c).to_um() / spacing_um).floor() as usize
     };
     let hops = hops_for(&left).max(hops_for(&right));
 
@@ -171,7 +163,7 @@ fn build(
             d += 1;
         }
         build(
-            design, placement, tree, half, net, pos, d, cfg, buf_cell, buf_in, buf_out,
+            design, placement, tree, half, net, pos, d, spacing_um, buf_cell, buf_in, buf_out,
         );
     }
 }
@@ -383,7 +375,7 @@ mod tests {
         let (mut d, mut p, clk) = ff_field(500, 400.0, 400.0, 1);
         let before_sinks = d.sinks(clk).count();
         assert_eq!(before_sinks, 500);
-        let tree = synthesize_clock_tree(&mut d, &mut p, clk, &CtsConfig::default());
+        let tree = synthesize_clock_tree(&mut d, &mut p, clk, REPEATER_SPACING_UM);
         assert!(d.validate().is_ok());
         assert!(!tree.buffers.is_empty());
         // every FF CK pin is connected to some tree net
@@ -406,14 +398,10 @@ mod tests {
     #[test]
     fn fanout_limit_respected() {
         let (mut d, mut p, clk) = ff_field(300, 300.0, 300.0, 2);
-        let cfg = CtsConfig {
-            max_fanout: 16,
-            repeater_spacing_um: 200.0,
-        };
-        let tree = synthesize_clock_tree(&mut d, &mut p, clk, &cfg);
+        let tree = synthesize_clock_tree(&mut d, &mut p, clk, REPEATER_SPACING_UM);
         for &n in &tree.nets {
             assert!(
-                d.sinks(n).count() <= 16,
+                d.sinks(n).count() <= MAX_FANOUT,
                 "net {} exceeds fanout",
                 d.net(n).name
             );
@@ -424,9 +412,8 @@ mod tests {
     fn bigger_die_means_deeper_tree() {
         let (mut d1, mut p1, c1) = ff_field(400, 300.0, 300.0, 3);
         let (mut d2, mut p2, c2) = ff_field(400, 1_600.0, 1_600.0, 3);
-        let cfg = CtsConfig::default();
-        let t_small = synthesize_clock_tree(&mut d1, &mut p1, c1, &cfg);
-        let t_large = synthesize_clock_tree(&mut d2, &mut p2, c2, &cfg);
+        let t_small = synthesize_clock_tree(&mut d1, &mut p1, c1, REPEATER_SPACING_UM);
+        let t_large = synthesize_clock_tree(&mut d2, &mut p2, c2, REPEATER_SPACING_UM);
         assert!(
             t_large.depth > t_small.depth,
             "large {} vs small {}",
@@ -438,7 +425,7 @@ mod tests {
     #[test]
     fn arrivals_with_ideal_parasitics() {
         let (mut d, mut p, clk) = ff_field(100, 200.0, 200.0, 4);
-        let tree = synthesize_clock_tree(&mut d, &mut p, clk, &CtsConfig::default());
+        let tree = synthesize_clock_tree(&mut d, &mut p, clk, REPEATER_SPACING_UM);
         // zero-parasitic extraction: arrivals = pure buffer delays
         let parasitics = vec![NetParasitics::default(); d.num_nets()];
         let arr = clock_arrivals(&d, &tree, &parasitics, Corner::Tt);

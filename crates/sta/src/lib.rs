@@ -37,7 +37,7 @@ pub use analysis::{
     analyze, analyze_par, analyze_probe, check_hold, HoldReport, StaInput, TimingReport,
 };
 pub use constraints::StaConstraints;
-pub use cts::{clock_arrivals, synthesize_clock_tree, ClockArrivals, ClockTree, CtsConfig};
+pub use cts::{clock_arrivals, synthesize_clock_tree, ClockArrivals, ClockTree};
 pub use macro3d_par::Parallelism;
 pub use opt::{apply_sizing_to_parasitics, fix_hold, insert_repeaters, upsize_critical_path};
 pub use parametric::{StaSession, PROBE_RESOLUTION_PS};

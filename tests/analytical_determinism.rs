@@ -59,7 +59,6 @@ fn analytical_placement_is_invariant_to_thread_count() {
         let cfg = GlobalPlaceConfig {
             backend: PlacerBackend::Analytical,
             parallelism: Parallelism::threads(threads),
-            ..GlobalPlaceConfig::default()
         };
         global_place(&tile.design, &fp, &ports, &cfg)
     };

@@ -2,10 +2,10 @@
 //! determinism, fault/budget isolation between tenants, persisted-
 //! cache restarts, and the NDJSON protocol.
 
-use macro3d::{ppa_fingerprint, ppa_to_json, FaultAction, FaultPlan, StopReason};
-use macro3d_dse::server::serve;
+use macro3d::{ppa_fingerprint, ppa_to_json, FaultAction, FaultPlan, PlacerBackend, StopReason};
+use macro3d_dse::server::{parse_spec, serve};
 use macro3d_dse::sweep::{run_sweep, SweepAxis, SweepSpec};
-use macro3d_dse::{DseConfig, DseService, JobError, JobSpec};
+use macro3d_dse::{DseConfig, DseService, DseStats, JobError, JobSpec};
 use macro3d_json::Json;
 use macro3d_soc::TileConfig;
 use std::io::Cursor;
@@ -301,17 +301,14 @@ fn ndjson_protocol_round_trip() {
     service.shutdown();
 }
 
-/// Out-of-range values are refused by name through the protocol: a
-/// bad knob at `submit`, a bad `config` object when its job runs (the
-/// flow refuses it before any stage), and the session keeps serving.
+/// Out-of-range values are refused by name through the protocol at
+/// `submit`, a bad `config` object like a bad knob: no job is created,
+/// no tile generated and no counter moves, and the session keeps
+/// serving.
 #[test]
 fn out_of_range_values_are_refused_by_name() {
     let service = DseService::start(DseConfig::default()).unwrap();
     let client = service.client();
-    let percent = macro3d::flow_config_to_json(&macro3d::FlowConfig {
-        util_logic: 60.0,
-        ..macro3d::FlowConfig::default()
-    });
     let submit = |spec: String| format!(r#"{{"cmd":"submit","spec":{spec}}}"#);
     let knob = |k: &str, v: &str| {
         submit(format!(
@@ -319,11 +316,7 @@ fn out_of_range_values_are_refused_by_name() {
         ))
     };
     let requests = [
-        submit(format!(
-            r#"{{"flow":"Macro-3D","tile":"mini","config":{}}}"#,
-            percent.emit()
-        )),
-        r#"{"cmd":"wait","job":1}"#.to_string(),
+        submit(r#"{"flow":"Macro-3D","tile":"mini","config":{"util_logic":60}}"#.to_string()),
         knob("halo_um", "-50"),
         knob("route_iterations", "0"),
         knob("scale", "nan"),
@@ -339,23 +332,61 @@ fn out_of_range_values_are_refused_by_name() {
         .map(|l| Json::parse(l).unwrap())
         .collect();
 
-    assert_eq!(lines.len(), 7);
-    assert_eq!(lines[0].get("job").and_then(Json::as_u64), Some(1));
+    assert_eq!(lines.len(), 6);
     for (line, want) in [
-        (1, "util_logic must be in (0, 1], got 60"),
-        (2, "halo_um must be finite and >= 0, got -50"),
-        (3, "route.iterations must be >= 1, got 0"),
-        (4, "scale must be a finite number >= 1, got 'nan'"),
-        (5, "budget_wall_s must be a finite number > 0"),
+        (0, "util_logic must be in (0, 1], got 60"),
+        (1, "halo_um must be finite and >= 0, got -50"),
+        (2, "route.iterations must be >= 1, got 0"),
+        (3, "scale must be a finite number >= 1, got 'nan'"),
+        (4, "budget_wall_s must be a finite number > 0"),
     ] {
         assert_eq!(lines[line].get("ok").and_then(Json::as_bool), Some(false));
         let error = lines[line].get("error").and_then(Json::as_str);
         assert!(error.is_some_and(|e| e.contains(want)), "{error:?}");
     }
-    assert_eq!(lines[6].get("reply").and_then(Json::as_str), Some("pong"));
-    let stats = client.stats();
-    assert_eq!((stats.jobs_done, stats.jobs_failed), (0, 1));
+    assert_eq!(lines[5].get("reply").and_then(Json::as_str), Some("pong"));
+    assert_eq!(
+        client.stats(),
+        DseStats::default(),
+        "a refusal counts nothing"
+    );
     service.shutdown();
+}
+
+/// A `config` object carries only the fields it changes: the rest
+/// come from the defaults, so one member gives the same spec as the
+/// knob of that name, and a member the config does not have is refused
+/// by its path.
+#[test]
+fn partial_config_objects_overlay_the_defaults() {
+    let spec = |body: &str| {
+        let request = format!(r#"{{"spec":{{"flow":"Macro-3D","tile":"mini",{body}}}}}"#);
+        parse_spec(&Json::parse(&request).unwrap())
+    };
+    let partial = spec(r#""config":{"util_logic":0.55}"#).unwrap();
+    let knob = spec(r#""knobs":{"util_logic":"0.55"}"#).unwrap();
+    assert_eq!(partial.spec_key(), knob.spec_key());
+
+    // nested objects merge member by member
+    let nested =
+        spec(r#""config":{"route":{"iterations":1},"place":{"backend":"analytical"}}"#).unwrap();
+    assert_eq!(nested.config.route.iterations, 1);
+    assert_eq!(nested.config.place.backend, PlacerBackend::Analytical);
+
+    for (body, want) in [
+        (r#""config":{"util_logc":0.55}"#, "'config.util_logc'"),
+        (
+            r#""config":{"route":{"gcell_um":5}}"#,
+            "'config.route.gcell_um'",
+        ),
+        (
+            r#""config":{"route":3}"#,
+            "'config.route' must be an object",
+        ),
+    ] {
+        let err = spec(body).unwrap_err();
+        assert!(err.contains(want), "{body}: {err}");
+    }
 }
 
 /// Submissions survive queue-full backpressure without deadlock or

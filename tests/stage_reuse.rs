@@ -3,8 +3,10 @@
 //! fingerprint bit-identical to a fully cold run — across worker
 //! counts, across sweep-point submission orderings, and with reuse
 //! disabled outright. Budget and fault-plan knobs must key every
-//! stage and turn stage caching off entirely. Every route-config
-//! field must change what its stage key says it changes. A re-entry
+//! stage and turn stage caching off entirely. Every field the
+//! floorplan, place and route keys name must change what its stage key
+//! says it changes, and the placer chunk size, which no key names,
+//! must change nothing. A re-entry
 //! shares the stored route and starts from the stored first sign-off
 //! analysis, which must equal a fresh one. An STA re-entry must run at
 //! least 3x faster than the same point run cold.
@@ -12,13 +14,17 @@
 use macro3d::flow::sta_constraints;
 use macro3d::flows::{Flow, FlowOutcome, Macro3d};
 use macro3d::{
-    ppa_fingerprint, stage_keys, FlowConfig, Parallelism, Stage, StageCache, StageReuse,
+    ppa_fingerprint, stage_keys, FlowConfig, Parallelism, PlacerBackend, Stage, StageCache,
+    StageReuse,
 };
 use macro3d_dse::sweep::{apply_knob, run_sweep, SweepAxis, SweepSpec};
 use macro3d_dse::{DseConfig, DseService, JobSpec, SweepOutcome};
+use macro3d_geom::{Point, Rect};
+use macro3d_place::MacroPlacement;
 use macro3d_route::RouteConfig;
 use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
 use macro3d_sta::{StaInput, StaSession};
+use macro3d_tech::stack::MetalStack;
 use macro3d_tech::Corner;
 use std::sync::Arc;
 
@@ -394,6 +400,102 @@ fn restored_first_analysis_matches_a_fresh_one() {
     assert_eq!(extract.timing, fresh);
 }
 
+/// The first stage whose Macro-3D key on `mini` differs between two
+/// configs, or `None` when every key agrees.
+fn first_keyed_stage(a: &FlowConfig, b: &FlowConfig) -> Option<Stage> {
+    let (a, b) = (
+        stage_keys("Macro-3D", &TileConfig::mini(), a),
+        stage_keys("Macro-3D", &TileConfig::mini(), b),
+    );
+    Stage::all().into_iter().find(|&s| a.key(s) != b.key(s))
+}
+
+/// The floorplan and place artifacts a run under `cfg` left in
+/// `cache`: the die, macro rects and stack, and every instance's
+/// position.
+fn stored_artifacts(
+    cache: &mut StageCache,
+    cfg: &FlowConfig,
+) -> ((Rect, Vec<MacroPlacement>, MetalStack), Vec<Point>) {
+    let reuse = StageReuse::begin(cache, "Macro-3D", &TileConfig::mini(), cfg)
+        .expect("no budget or fault plan");
+    let planned = reuse.floorplan_snap().expect("floorplan slot");
+    let placed = reuse.place_snap().expect("place slot");
+    let fp = (
+        planned.fp.die(),
+        planned.fp.macros.clone(),
+        planned.stack.clone(),
+    );
+    (fp, placed.placement.pos.clone())
+}
+
+/// The over-keying guard for the floorplan and place stages. Every
+/// field the floorplan or place key names must first move its own
+/// stage's key and change that stage's artifact on `mini` (a place
+/// field leaves the floorplan as it is). The placer chunk size, which
+/// no key names, must leave the placement of both backends
+/// bit-identical.
+#[test]
+fn every_floorplan_and_place_key_field_changes_its_stage_artifact() {
+    type Edit = fn(&mut FlowConfig);
+    let floorplan: [(&str, Edit); 5] = [
+        ("logic_metals", |c| c.logic_metals += 1),
+        ("macro_metals", |c| c.macro_metals = 4),
+        ("util_logic", |c| c.util_logic -= 0.05),
+        ("util_macro", |c| c.util_macro -= 0.05),
+        ("halo_um", |c| c.halo_um *= 2.0),
+    ];
+    let place: [(&str, Edit); 2] = [
+        ("place.backend", |c| {
+            c.place.backend = PlacerBackend::Analytical
+        }),
+        ("repeater_max_len_um", |c| c.repeater_max_len_um *= 0.5),
+    ];
+    let tile = generate_tile(&TileConfig::mini());
+    let base = fast_spec().config;
+    let mut cache = StageCache::new();
+    run_reusing(&mut cache, &tile, &base);
+    let (base_fp, base_placed) = stored_artifacts(&mut cache, &base);
+    for (stage, fields) in [(Stage::Floorplan, &floorplan[..]), (Stage::Place, &place)] {
+        for (field, edit) in fields {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            assert_eq!(first_keyed_stage(&base, &cfg), Some(stage), "{field}");
+            run_reusing(&mut cache, &tile, &cfg);
+            let (fp, placed) = stored_artifacts(&mut cache, &cfg);
+            let moved = if stage == Stage::Floorplan {
+                fp != base_fp
+            } else {
+                assert!(fp == base_fp, "{field} changed the floorplan");
+                placed != base_placed
+            };
+            assert!(
+                moved,
+                "{field} keys the {} stage but changes nothing on mini",
+                stage.name()
+            );
+        }
+    }
+
+    for backend in [PlacerBackend::Bisection, PlacerBackend::Analytical] {
+        let placed = |chunk_size: usize| {
+            let mut cfg = base.clone();
+            cfg.place.backend = backend;
+            cfg.place.parallelism.chunk_size = chunk_size;
+            let mut cache = StageCache::new();
+            run_reusing(&mut cache, &tile, &cfg);
+            stored_artifacts(&mut cache, &cfg).1
+        };
+        let want = placed(base.place.parallelism.chunk_size);
+        for chunk_size in [1, 5] {
+            assert!(
+                placed(chunk_size) == want,
+                "{backend:?}: chunk size {chunk_size}"
+            );
+        }
+    }
+}
+
 /// The over-keying guard for the route stage. Every `RouteConfig`
 /// field the route key names must change the routed design on `mini`;
 /// `f2f_pitch_um`, keyed at STA, must leave the route bit-identical
@@ -404,20 +506,11 @@ fn restored_first_analysis_matches_a_fresh_one() {
 fn every_route_key_field_changes_its_stage_artifact() {
     let tile = generate_tile(&TileConfig::mini());
     let base = fast_spec().config;
-    // the first stage whose key a config moves
-    let keyed_at = |cfg: &FlowConfig| {
-        let (a, b) = (
-            stage_keys("Macro-3D", &TileConfig::mini(), &base),
-            stage_keys("Macro-3D", &TileConfig::mini(), cfg),
-        );
-        Stage::all().into_iter().find(|&s| a.key(s) != b.key(s))
-    };
+    let keyed_at = |cfg: &FlowConfig| first_keyed_stage(&base, cfg);
     let RouteConfig {
-        gcell_um,
         utilization,
         iterations,
         via_cost,
-        max_net_degree,
         f2f_pitch_um,
         // results are thread-count invariant (route_determinism.rs)
         parallelism: Parallelism {
@@ -431,17 +524,12 @@ fn every_route_key_field_changes_its_stage_artifact() {
         cfg
     };
     let keyed = [
-        ("gcell_um", perturbed(&|r| r.gcell_um = gcell_um * 0.8)),
         (
             "utilization",
             perturbed(&|r| r.utilization = utilization * 0.8),
         ),
         ("iterations", perturbed(&|r| r.iterations = iterations + 2)),
         ("via_cost", perturbed(&|r| r.via_cost = via_cost + 1.0)),
-        (
-            "max_net_degree",
-            perturbed(&|r| r.max_net_degree = max_net_degree / 64),
-        ),
         (
             "parallelism.chunk_size",
             perturbed(&|r| r.parallelism.chunk_size = chunk_size / 4),
