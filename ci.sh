@@ -119,7 +119,8 @@ echo "==> sweep-reuse gate (stage-graph prefix reuse, depth + determinism)"
 # 2-axis mini sweep on one worker: util_logic changes the floorplan
 # key (two cold prefixes), sizing_rounds only the STA key (one depth-4
 # re-entry per prefix). The scratch run (reuse off) must be all-cold
-# and bit-identical.
+# and bit-identical, and every point must report the degradation the
+# scratch run reports (a restored route keeps its residual overflow).
 ./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
   --axis util_logic=0.55,0.6 --axis sizing_rounds=1,2 --workers 1 \
   --out target/sweep_reuse_on.txt
@@ -132,20 +133,22 @@ def rows(path):
     for line in open(path):
         parts = line.split()
         if parts and parts[0].count('=') >= 2:  # 'util_logic=..,sizing_rounds=..'
-            out[parts[0]] = (int(parts[6]), parts[7])  # (reuse depth, fingerprint)
+            out[parts[0]] = (int(parts[6]), parts[7], parts[8])  # (reuse depth, fingerprint, degraded)
     return out
 on, off = rows('target/sweep_reuse_on.txt'), rows('target/sweep_reuse_off.txt')
 assert len(on) == 4 and len(off) == 4, (on, off)
-depths = sorted(d for d, _ in on.values())
+depths = sorted(d for d, _, _ in on.values())
 assert depths == [0, 0, 4, 4], 'one cold + one depth-4 point per util_logic prefix: %s' % on
-assert all(d == 0 for d, _ in off.values()), 'reuse off must run everything cold: %s' % off
+assert all(d == 0 for d, _, _ in off.values()), 'reuse off must run everything cold: %s' % off
 for label in on:
     assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
-print('sweep-reuse gate OK: depths %s, fingerprints bit-identical to scratch run' % depths)
+    assert on[label][2] == off[label][2], 'degraded flag mismatch at %s' % label
+print('sweep-reuse gate OK: depths %s, fingerprints and degraded flags equal to scratch run' % depths)
 "
 # The F2F bond pitch keys only the STA stage (the router never reads
 # it), so a pitch x sizing_rounds grid shares one routed prefix: one
-# cold point, then three depth-4 re-entries on the restored route.
+# cold point, then three depth-4 re-entries on the restored route,
+# each degraded exactly when its scratch-run twin is.
 ./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
   --axis f2f_pitch_um=1,10 --axis sizing_rounds=1,2 --workers 1 \
   --out target/sweep_pitch_on.txt
@@ -158,16 +161,17 @@ def rows(path):
     for line in open(path):
         parts = line.split()
         if parts and parts[0].count('=') >= 2:  # 'f2f_pitch_um=..,sizing_rounds=..'
-            out[parts[0]] = (int(parts[6]), parts[7])  # (reuse depth, fingerprint)
+            out[parts[0]] = (int(parts[6]), parts[7], parts[8])  # (reuse depth, fingerprint, degraded)
     return out
 on, off = rows('target/sweep_pitch_on.txt'), rows('target/sweep_pitch_off.txt')
 assert len(on) == 4 and len(off) == 4, (on, off)
-depths = sorted(d for d, _ in on.values())
+depths = sorted(d for d, _, _ in on.values())
 assert depths == [0, 4, 4, 4], 'one cold point, every pitch change re-enters at STA: %s' % on
-assert all(d == 0 for d, _ in off.values()), 'reuse off must run everything cold: %s' % off
+assert all(d == 0 for d, _, _ in off.values()), 'reuse off must run everything cold: %s' % off
 for label in on:
     assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
-print('sweep-reuse pitch gate OK: depths %s, fingerprints bit-identical to scratch run' % depths)
+    assert on[label][2] == off[label][2], 'degraded flag mismatch at %s' % label
+print('sweep-reuse pitch gate OK: depths %s, fingerprints and degraded flags equal to scratch run' % depths)
 "
 
 echo "CI OK"

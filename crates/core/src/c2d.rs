@@ -11,10 +11,10 @@
 //! partitioning / overlap fixing / via planning / re-route tail as
 //! S2D — plus the post-tier-partitioning optimization C2D adds.
 
-use crate::build_cache::{cached_combined_beol, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, finish_design, sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
+    area_budget, combined_stack, finish_design, mol_floorplans, sta_constraints, FlowConfig,
+    ImplementedDesign, StageTimer,
 };
 use crate::s2d::{
     final_floorplan, partition_and_finalize, pseudo2d_stage1, shrunk_stage_floorplan,
@@ -54,12 +54,11 @@ pub(crate) fn implement(
     let halo = Dbu::from_um(cfg.halo_um);
     let up = (die_2x.width().0 as f64 / die_3d.width().0 as f64).max(1.0);
 
-    // macro floorplans in the target (3D) space, MoL assignment
-    // (shared with Macro-3D and MoL S2D through the build cache)
+    // macro floorplans in the target (3D) space, MoL assignment (the
+    // split Macro-3D and MoL S2D start from too)
     flow_gate("flow/floorplan")?;
-    let mol = try_cached_mol_floorplan(&design, die_3d, halo, cfg.util_macro, cfg.halo_um)?;
-    let mut macro_placements = mol.0.clone();
-    macro_placements.extend_from_slice(&mol.1);
+    let (mut macro_placements, logic_die) = mol_floorplans(&design, die_3d, cfg)?;
+    macro_placements.extend(logic_die);
 
     // --- stage 1: enlarged pseudo-2D design --------------------------
     // blockages scaled up by the enlargement factor, R and C per unit
@@ -108,12 +107,11 @@ pub(crate) fn implement(
 
     // --- stage 4: re-route on the combined stack with C2D's
     // post-tier-partitioning optimization enabled ----------------------
-    let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
     let placed = PlaceSnap {
         fp: final_floorplan(die_3d, &macro_placements, halo, &lib),
         ports: PortPlan::assign(&design, die_3d),
         design,
-        stack: combined.stack().clone(),
+        stack: combined_stack(cfg),
         placement,
         tree,
     };

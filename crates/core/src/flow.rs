@@ -11,7 +11,9 @@ use macro3d_par::{
     checkpoint, note_degradation, parallel_map, Checkpoint, FaultPlan, FlowBudget, Parallelism,
 };
 use macro3d_place::floorplan::die_for_area;
-use macro3d_place::{global_place, legalize, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
+use macro3d_place::{
+    global_place, legalize, Floorplan, GlobalPlaceConfig, MacroPlacement, Placement, PortPlan,
+};
 use macro3d_route::{route_design, RouteConfig, RouteRequest, RoutedDesign};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
@@ -19,8 +21,8 @@ use macro3d_sta::{
     ClockArrivals, ClockTree, HoldReport, PowerInput, PowerReport, StaConstraints, StaInput,
     StaSession, TimingReport,
 };
-use macro3d_tech::stack::{DieRole, MetalStack};
-use macro3d_tech::Corner;
+use macro3d_tech::stack::{n28_stack, DieRole, MetalStack};
+use macro3d_tech::{CombinedBeol, Corner, F2fSpec};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -180,30 +182,28 @@ pub fn assign_macros_mol(
     (top, bottom)
 }
 
-/// Packs the MoL dual floorplans, retrying with fewer top-die macros
-/// until both dies pack geometrically (shelf packing wastes some area
-/// versus the pure area budget).
+/// The memory-on-logic macro floorplans that Macro-3D, MoL S2D and
+/// Compact-2D share on the 3D-footprint `die`: the
+/// [`assign_macros_mol`] split, shelf-packed on the macro die and
+/// ring- (else shelf-) packed on the logic die, then annealed. Returns
+/// `(macro-die placements, logic-die placements)`. While the two dies
+/// do not both pack, the smallest macro-die macro moves to the logic
+/// die (shelf packing wastes some area against the pure area budget).
 ///
 /// # Errors
 ///
 /// Returns [`crate::FlowError::Floorplan`] when even an empty macro die
 /// cannot host the logic-die macros (die far too small — not
 /// reachable from [`area_budget`] with validated configs).
-pub fn try_pack_mol_floorplans(
+pub(crate) fn mol_floorplans(
     design: &Design,
     die: Rect,
-    halo: Dbu,
-    mut top: Vec<InstId>,
-    mut bottom: Vec<InstId>,
-) -> Result<
-    (
-        Vec<macro3d_place::MacroPlacement>,
-        Vec<macro3d_place::MacroPlacement>,
-    ),
-    FlowError,
-> {
+    cfg: &FlowConfig,
+) -> Result<(Vec<MacroPlacement>, Vec<MacroPlacement>), FlowError> {
     use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
     use macro3d_place::macro_place::{pack_ring, pack_shelves};
+    let halo = Dbu::from_um(cfg.halo_um);
+    let (mut top, mut bottom) = assign_macros_mol(design, die.area_um2(), cfg);
     loop {
         let top_packed = pack_shelves(design, &top, die, halo, DieRole::Macro);
         if let Some(mut tp) = top_packed {
@@ -234,6 +234,19 @@ pub fn try_pack_mol_floorplans(
             }
         }
     }
+}
+
+/// The combined MoL routing stack (`M1…Mn → F2F_VIA → M1_MD…`) of
+/// the n28 logic and macro dies joined by the standard hybrid bond —
+/// the final stack of Macro-3D, S2D and C2D.
+pub(crate) fn combined_stack(cfg: &FlowConfig) -> MetalStack {
+    CombinedBeol::build(
+        &n28_stack(cfg.logic_metals, DieRole::Logic),
+        &n28_stack(cfg.macro_metals, DieRole::Macro),
+        &F2fSpec::hybrid_bond_n28(),
+    )
+    .stack()
+    .clone()
 }
 
 /// A fully implemented design: everything needed for PPA reporting
@@ -840,7 +853,10 @@ pub(crate) fn signoff_input<'a>(
 /// the extract state, first sign-off analysis included, by a deep
 /// clone), and a cold stage stores its boundary snapshot for the next
 /// run. Restored artifacts were snapshotted at the exact same program
-/// point of a cold run, so warm results are bit-identical.
+/// point of a cold run, so warm results are bit-identical. The route's
+/// residual overflow is noted from the routed design
+/// ([`RoutedDesign::note_residual_overflow`]) whether it was routed or
+/// restored, so a warm run reports the degradation a cold run does.
 ///
 /// # Errors
 ///
@@ -870,7 +886,7 @@ pub(crate) fn finish_design(
     let par = cfg.parallelism;
     flow_gate("flow/route")?;
     let routed = match reuse.as_deref().and_then(StageReuse::route_snap) {
-        Some(snap) => Arc::clone(&snap.routed),
+        Some(routed) => routed,
         None => {
             let routed = Arc::new(route_placed(
                 &design,
@@ -887,6 +903,7 @@ pub(crate) fn finish_design(
             routed
         }
     };
+    routed.note_residual_overflow();
     let f2f_overcrowded_gcells =
         routed.f2f_overcrowded_gcells(fp.die(), stack.f2f_cut(), cfg.route.f2f_pitch_um);
     timer.mark("route");

@@ -6,16 +6,16 @@
 //! off at SS / reported at TT. The footprint is exactly twice the 3D
 //! footprint (equal total silicon, per the paper's fairness rule).
 
-use crate::build_cache::{cached_stack, design_fingerprint};
 use crate::error::FlowError;
 use crate::flow::{run_direct, AreaBudget, FlowConfig, ImplementedDesign};
 use crate::stage::StageReuse;
 use macro3d_geom::{Dbu, Rect};
 use macro3d_netlist::Design;
+use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
 use macro3d_place::macro_place::{pack_bands, pack_ring, pack_shelves};
 use macro3d_place::Floorplan;
 use macro3d_soc::TileNetlist;
-use macro3d_tech::stack::{DieRole, MetalStack};
+use macro3d_tech::stack::{n28_stack, DieRole, MetalStack};
 
 /// Runs the 2D baseline flow on the direct-flow driver: a die of
 /// twice the 3D footprint (same silicon area in both styles), the
@@ -56,39 +56,26 @@ fn floorplan(
     let macro_fraction = budget.macro_um2 / (budget.macro_um2 + budget.cell_um2);
     let cell_fraction = (budget.cell_um2 / cfg.util_logic)
         / (budget.cell_um2 / cfg.util_logic + budget.macro_um2 / cfg.util_macro);
-    let fp_key = format!(
-        "fp-2d/{:016x}/{die:?}/{halo:?}/{:.6}/{:.6}",
-        design_fingerprint(design),
-        macro_fraction,
-        cell_fraction
-    );
-    let placements = crate::build_cache::global().try_get_or_build(&fp_key, || {
-        let mut packed = if macro_fraction > 0.7 {
-            pack_bands(design, &macros, die, halo, cell_fraction.min(0.9))
-                .or_else(|| pack_ring(design, &macros, die, halo))
-        } else {
-            pack_ring(design, &macros, die, halo)
-        }
-        .or_else(|| pack_shelves(design, &macros, die, halo, DieRole::Logic))
-        .ok_or_else(|| FlowError::Floorplan {
-            stage: "2d/macro_pack",
-            detail: format!(
-                "{} macros do not fit the {:.0}x{:.0}um 2D die",
-                macros.len(),
-                die.width().to_um(),
-                die.height().to_um()
-            ),
-        })?;
-        // same floorplan-optimization step as the 3D flows
-        use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
-        refine_macros_sa(design, &mut packed, die, halo, &AnnealConfig::default());
-        Ok::<_, FlowError>(packed)
+    let mut placements = if macro_fraction > 0.7 {
+        pack_bands(design, &macros, die, halo, cell_fraction.min(0.9))
+            .or_else(|| pack_ring(design, &macros, die, halo))
+    } else {
+        pack_ring(design, &macros, die, halo)
+    }
+    .or_else(|| pack_shelves(design, &macros, die, halo, DieRole::Logic))
+    .ok_or_else(|| FlowError::Floorplan {
+        stage: "2d/macro_pack",
+        detail: format!(
+            "{} macros do not fit the {:.0}x{:.0}um 2D die",
+            macros.len(),
+            die.width().to_um(),
+            die.height().to_um()
+        ),
     })?;
-    for &mp in placements.iter() {
+    // same floorplan-optimization step as the 3D flows
+    refine_macros_sa(design, &mut placements, die, halo, &AnnealConfig::default());
+    for &mp in &placements {
         fp.add_macro(mp, DieRole::Logic, halo);
     }
-    Ok((
-        fp,
-        (*cached_stack(cfg.logic_metals, DieRole::Logic)).clone(),
-    ))
+    Ok((fp, n28_stack(cfg.logic_metals, DieRole::Logic)))
 }

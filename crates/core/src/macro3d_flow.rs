@@ -22,9 +22,10 @@
 //! 4. **Die separation.** The layout splits back into per-die GDS
 //!    (see [`crate::layout`]); the F2F via layer appears in both.
 
-use crate::build_cache::{cached_combined_beol, try_cached_mol_floorplan};
 use crate::error::FlowError;
-use crate::flow::{run_direct, AreaBudget, FlowConfig, ImplementedDesign};
+use crate::flow::{
+    combined_stack, mol_floorplans, run_direct, AreaBudget, FlowConfig, ImplementedDesign,
+};
 use crate::stage::StageReuse;
 use macro3d_geom::{Dbu, Rect};
 use macro3d_netlist::Design;
@@ -68,16 +69,15 @@ fn floorplan(
 ) -> Result<(Floorplan, MetalStack), FlowError> {
     let lib = design.library();
     let halo = Dbu::from_um(cfg.halo_um);
-    // Step 1: dual floorplans (the MoL seed is shared with the S2D
-    // and C2D flows through the build cache).
-    let mol = try_cached_mol_floorplan(design, die, halo, cfg.util_macro, cfg.halo_um)?;
+    // Step 1: dual floorplans (the MoL split the S2D and C2D flows
+    // start from too)
+    let (macro_die, logic_die) = mol_floorplans(design, die, cfg)?;
 
     // Step 2: projection — macro-die macros add pins/obstacles but no
     // placement blockage; logic-die macros block placement as usual.
     let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
-    for &mp in mol.0.iter().chain(&mol.1) {
+    for &mp in macro_die.iter().chain(&logic_die) {
         fp.add_macro(mp, DieRole::Logic, halo);
     }
-    let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-    Ok((fp, combined.stack().clone()))
+    Ok((fp, combined_stack(cfg)))
 }

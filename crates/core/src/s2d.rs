@@ -25,11 +25,10 @@
 //! Table I's "BF S2D", which trades away the manufacturing advantages
 //! of MoL stacking).
 
-use crate::build_cache::{cached_combined_beol, cached_stack, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, extract_all, finish_design, place_pipeline, route_placed, signoff_input,
-    sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
+    area_budget, combined_stack, extract_all, finish_design, mol_floorplans, place_pipeline,
+    route_placed, signoff_input, sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
 };
 use crate::stage::PlaceSnap;
 use crate::via_plan::plan_bumps;
@@ -43,7 +42,7 @@ use macro3d_soc::TileNetlist;
 use macro3d_sta::opt::apply_sizing_to_parasitics;
 use macro3d_sta::{clock_arrivals, upsize_critical_path, ClockTree, StaConstraints, StaSession};
 use macro3d_tech::libgen::n28_library;
-use macro3d_tech::stack::DieRole;
+use macro3d_tech::stack::{n28_stack, DieRole};
 use macro3d_tech::{CellLibrary, Corner, F2fSpec};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -100,11 +99,10 @@ pub(crate) fn implement(
     flow_gate("flow/floorplan")?;
     let macro_placements = match style {
         S2dStyle::MemoryOnLogic => {
-            // same MoL seed as Macro-3D and C2D, via the build cache
-            let mol = try_cached_mol_floorplan(&design, die, halo, cfg.util_macro, cfg.halo_um)?;
-            let mut v = mol.0.clone();
-            v.extend_from_slice(&mol.1);
-            v
+            // the MoL split Macro-3D and C2D start from
+            let (mut macro_die, logic_die) = mol_floorplans(&design, die, cfg)?;
+            macro_die.extend(logic_die);
+            macro_die
         }
         S2dStyle::Balanced => {
             let macros: Vec<InstId> = design.inst_ids().filter(|&i| design.is_macro(i)).collect();
@@ -160,12 +158,11 @@ pub(crate) fn implement(
     timer.mark("s2d_partition_fix");
 
     // --- stage 3: F2F via planning + re-route on the true stack --------
-    let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
     let placed = PlaceSnap {
         design,
         fp: final_floorplan(die, &macro_placements, halo, &orig_lib),
         ports,
-        stack: combined.stack().clone(),
+        stack: combined_stack(cfg),
         placement,
         tree,
     };
@@ -193,8 +190,9 @@ pub(crate) fn pseudo2d_stage1(
     timer: &mut StageTimer,
 ) -> (Placement, ClockTree) {
     let (placement, tree) = place_pipeline(design, fp, ports, constraints, cfg, timer);
-    let stack = cached_stack(cfg.logic_metals, DieRole::Logic);
+    let stack = n28_stack(cfg.logic_metals, DieRole::Logic);
     let routed = route_placed(design, &placement, ports, fp, &stack, cfg, false);
+    routed.note_residual_overflow();
     timer.mark(&format!("{flow}_stage1_route"));
     let mut parasitics = extract_all(
         design,

@@ -7,15 +7,18 @@
 //! ```
 //!
 //! Each stage **declares** which `TileConfig` / [`FlowConfig`] fields
-//! feed its content key (the tables in [`stage_keys`]; the FNV-1a
-//! discipline is shared with `BuildCache` and the DSE `ResultCache`).
-//! Keys are *chained*: stage *i*'s key hashes stage *i−1*'s key
-//! together with stage *i*'s own payload, so a key match at stage *i*
-//! proves the whole prefix `0..=i` ran under identical inputs.
+//! feed its content key (the tables in [`stage_keys`]). Keys are
+//! *chained*: stage *i*'s key hashes stage *i−1*'s key together with
+//! stage *i*'s own payload, so a key match at stage *i* proves the
+//! whole prefix `0..=i` ran under identical inputs. The STA key covers
+//! every result-changing input, so it is also the content key of a
+//! whole run: the DSE `ResultCache` keys results by it (chained with
+//! the obs level) — one key discipline for every reuse in the repo.
 //!
 //! A worker holds one [`StageCache`] — the artifacts the previous
-//! flow run left at each stage boundary, tagged with that run's
-//! chained keys, plus the last tile it generated
+//! flow run left at each stage boundary, one typed slot per cached
+//! stage tagged with that run's chained key, plus the last tile it
+//! generated
 //! ([`StageCache::tile`]). The next run compares its own keys against
 //! the cache ([`StageReuse::start_stage`]), restores the artifacts of
 //! the longest matching prefix, and re-enters the flow at the first
@@ -60,9 +63,8 @@
 //! route and sizing knobs *inside* their stage-1 pseudo-2D run, so
 //! their place keys additionally include `route`, `sizing_rounds` and
 //! `partial_blockage_period_um`. These flows never read or write the
-//! stage cache (their runs report reuse depth 0): the keys only steer
-//! DSE worker affinity, and identical specs are the `ResultCache`'s
-//! job.
+//! stage cache (their runs report reuse depth 0): their keys steer DSE
+//! worker affinity and key their results in the `ResultCache`.
 //!
 //! [`stage_keys`] names every config field with no `..`, so a new
 //! field does not compile until it is assigned to a stage or excluded
@@ -119,7 +121,8 @@ pub enum Stage {
     /// Parasitic extraction + clock arrivals at the sign-off corner.
     Extract = 3,
     /// STA + sizing + hold fixing + power. Never cached (it is the
-    /// terminal stage; identical specs are the `ResultCache`'s job).
+    /// terminal stage; specs with one STA key are the `ResultCache`'s
+    /// job).
     /// Its first sign-off analysis rides in the extract snapshot, so
     /// a run that re-enters here starts at the sizing loop.
     Sta = 4,
@@ -314,17 +317,6 @@ pub struct PlaceSnap {
     pub tree: ClockTree,
 }
 
-/// Route-boundary artifacts: the routed design the downstream stages
-/// consume. It carries no sign-off count — the bump-density check
-/// reruns on every restore under the run's own pitch. No later stage
-/// edits a route, so the snapshot, the cold run's
-/// `ImplementedDesign::routed` and every restore share one
-/// allocation.
-pub struct RouteSnap {
-    /// The assembled routing result.
-    pub routed: Arc<RoutedDesign>,
-}
-
 /// Extract-boundary artifacts, snapshotted after the first sign-off
 /// analysis. That analysis reads only inputs the extract key fixes,
 /// so a restored `session` and `timing` are exactly what a cold run
@@ -341,22 +333,26 @@ pub struct ExtractSnap {
     pub timing: TimingReport,
 }
 
-enum Artifact {
-    Floorplan(Arc<FloorplanSnap>),
-    Place(Arc<PlaceSnap>),
-    Route(Arc<RouteSnap>),
-    Extract(Arc<ExtractSnap>),
-}
-
 /// One worker's stage-boundary artifact store: the last run's
-/// snapshot per stage, tagged with the chained key it was produced
-/// under, and the last tile it generated. Purely in-memory and
-/// single-owner (each DSE worker owns one); nothing here is ever
-/// persisted.
+/// snapshot per cached stage, each tagged with the chained key it was
+/// produced under, and the last tile it generated. Purely in-memory
+/// and single-owner (each DSE worker owns one); nothing here is ever
+/// persisted. The route slot holds the routed design itself: no later
+/// stage edits a route, so the cold run's
+/// `ImplementedDesign::routed`, the slot and every restore share one
+/// allocation, and a restored route carries no sign-off count (the
+/// bump-density check reruns under each run's own pitch).
 #[derive(Default)]
 pub struct StageCache {
-    slots: [Option<(u64, Artifact)>; NUM_STAGES],
+    floorplan: Option<(u64, Arc<FloorplanSnap>)>,
+    place: Option<(u64, Arc<PlaceSnap>)>,
+    route: Option<(u64, Arc<RoutedDesign>)>,
+    extract: Option<(u64, Arc<ExtractSnap>)>,
     tile: Option<(TileConfig, Arc<TileNetlist>)>,
+}
+
+fn tag<T>(slot: &Option<(u64, Arc<T>)>) -> Option<u64> {
+    slot.as_ref().map(|(key, _)| *key)
 }
 
 impl StageCache {
@@ -420,14 +416,18 @@ impl<'a> StageReuse<'a> {
         }
         let keys = stage_keys(flow, tile, cfg);
         // the longest prefix of slots whose stored chained keys match
-        // this run's expected keys (the Sta slot is never stored)
-        let mut start = 0;
-        for (i, slot) in cache.slots.iter().enumerate().take(CACHED_STAGES) {
-            match slot {
-                Some((key, _)) if *key == keys.prefix[i] => start = i + 1,
-                _ => break,
-            }
-        }
+        // this run's expected keys (the STA stage has no slot)
+        let tags: [Option<u64>; CACHED_STAGES] = [
+            tag(&cache.floorplan),
+            tag(&cache.place),
+            tag(&cache.route),
+            tag(&cache.extract),
+        ];
+        let start = tags
+            .iter()
+            .zip(&keys.prefix)
+            .take_while(|(stored, key)| **stored == Some(**key))
+            .count();
         Some(StageReuse { cache, keys, start })
     }
 
@@ -454,81 +454,56 @@ impl<'a> StageReuse<'a> {
         &self.keys
     }
 
-    fn snap<T, F: Fn(&Artifact) -> Option<&Arc<T>>>(
-        &self,
-        stage: Stage,
-        pick: F,
-    ) -> Option<Arc<T>> {
+    /// The artifact in `slot` when the matched prefix covers `stage`.
+    fn restore<T>(&self, stage: Stage, slot: &Option<(u64, Arc<T>)>) -> Option<Arc<T>> {
         if self.start <= stage as usize {
             return None;
         }
-        self.cache.slots[stage as usize]
-            .as_ref()
-            .and_then(|(_, a)| pick(a))
-            .map(Arc::clone)
+        slot.as_ref().map(|(_, artifact)| Arc::clone(artifact))
     }
 
     /// Floorplan-boundary snapshot, when the matched prefix covers it.
     pub fn floorplan_snap(&self) -> Option<Arc<FloorplanSnap>> {
-        self.snap(Stage::Floorplan, |a| match a {
-            Artifact::Floorplan(s) => Some(s),
-            _ => None,
-        })
+        self.restore(Stage::Floorplan, &self.cache.floorplan)
     }
 
     /// Place-boundary snapshot, when the matched prefix covers it.
     pub fn place_snap(&self) -> Option<Arc<PlaceSnap>> {
-        self.snap(Stage::Place, |a| match a {
-            Artifact::Place(s) => Some(s),
-            _ => None,
-        })
+        self.restore(Stage::Place, &self.cache.place)
     }
 
-    /// Route-boundary snapshot, when the matched prefix covers it.
-    pub fn route_snap(&self) -> Option<Arc<RouteSnap>> {
-        self.snap(Stage::Route, |a| match a {
-            Artifact::Route(s) => Some(s),
-            _ => None,
-        })
+    /// The stored routed design, when the matched prefix covers the
+    /// route stage: another handle on the allocation the cold run
+    /// routed, not a copy.
+    pub fn route_snap(&self) -> Option<Arc<RoutedDesign>> {
+        self.restore(Stage::Route, &self.cache.route)
     }
 
     /// Extract-boundary snapshot, when the matched prefix covers it.
     pub fn extract_snap(&self) -> Option<Arc<ExtractSnap>> {
-        self.snap(Stage::Extract, |a| match a {
-            Artifact::Extract(s) => Some(s),
-            _ => None,
-        })
-    }
-
-    fn store(&mut self, stage: Stage, artifact: Artifact) {
-        self.cache.slots[stage as usize] = Some((self.keys.prefix[stage as usize], artifact));
+        self.restore(Stage::Extract, &self.cache.extract)
     }
 
     /// Stores the floorplan-boundary snapshot (call at stage exit).
     pub fn store_floorplan(&mut self, snap: FloorplanSnap) {
-        self.store(Stage::Floorplan, Artifact::Floorplan(Arc::new(snap)));
+        self.cache.floorplan = Some((self.keys.key(Stage::Floorplan), Arc::new(snap)));
     }
 
     /// Stores the place-boundary snapshot.
     pub fn store_place(&mut self, snap: PlaceSnap) {
-        self.store(Stage::Place, Artifact::Place(Arc::new(snap)));
+        self.cache.place = Some((self.keys.key(Stage::Place), Arc::new(snap)));
     }
 
-    /// Stores the route-boundary snapshot: a second handle on
+    /// Stores the route-boundary artifact: a second handle on
     /// `routed`, not a copy.
     pub fn store_route(&mut self, routed: &Arc<RoutedDesign>) {
-        self.store(
-            Stage::Route,
-            Artifact::Route(Arc::new(RouteSnap {
-                routed: Arc::clone(routed),
-            })),
-        );
+        self.cache.route = Some((self.keys.key(Stage::Route), Arc::clone(routed)));
     }
 
     /// Stores the extract-boundary snapshot, once the first sign-off
     /// analysis has run.
     pub fn store_extract(&mut self, snap: ExtractSnap) {
-        self.store(Stage::Extract, Artifact::Extract(Arc::new(snap)));
+        self.cache.extract = Some((self.keys.key(Stage::Extract), Arc::new(snap)));
     }
 }
 

@@ -2,7 +2,10 @@
 //!
 //! Expands a knob grid over a base spec, runs every point through the
 //! DSE service, and prints a results table with the Pareto front
-//! marked.
+//! marked. Per point the table lists the PPA, whether the result came
+//! from the cache (`hit`), how many leading stages the worker restored
+//! (`reuse`), the PPA fingerprint and whether the run degraded (a
+//! budget stop, an injected fault or residual routing overflow).
 //!
 //! ```text
 //! dse_sweep --flow Macro-3D --tile mini --set sizing_rounds=1 \
@@ -101,14 +104,22 @@ fn parse_args() -> Result<Args, String> {
 fn write_table(outcome: &SweepOutcome, mut sink: impl Write) -> std::io::Result<()> {
     writeln!(
         sink,
-        "{:<40} {:>10} {:>12} {:>10} {:>8} {:>6} {:>5} {:>16}  pareto",
-        "point", "fclk_mhz", "emean_fj", "fp_mm2", "wl_m", "hit", "reuse", "fingerprint"
+        "{:<40} {:>10} {:>12} {:>10} {:>8} {:>6} {:>5} {:>16} {:>8}  pareto",
+        "point",
+        "fclk_mhz",
+        "emean_fj",
+        "fp_mm2",
+        "wl_m",
+        "hit",
+        "reuse",
+        "fingerprint",
+        "degraded"
     )?;
     for (i, point) in outcome.points.iter().enumerate() {
         match &point.result {
             Ok(r) => writeln!(
                 sink,
-                "{:<40} {:>10.1} {:>12.1} {:>10.4} {:>8.4} {:>6} {:>5} {:>16}  {}",
+                "{:<40} {:>10.1} {:>12.1} {:>10.4} {:>8.4} {:>6} {:>5} {:>16} {:>8}  {}",
                 point.label,
                 r.ppa.fclk_mhz,
                 r.ppa.emean_fj,
@@ -117,6 +128,11 @@ fn write_table(outcome: &SweepOutcome, mut sink: impl Write) -> std::io::Result<
                 if r.cache_hit { "yes" } else { "no" },
                 r.reuse_depth,
                 format!("{:016x}", jsonio::ppa_fingerprint(&r.ppa)),
+                if r.degradation.is_degraded() {
+                    "yes"
+                } else {
+                    "no"
+                },
                 if outcome.pareto.contains(&i) { "*" } else { "" }
             )?,
             Err(e) => writeln!(sink, "{:<40} FAILED: {e}", point.label)?,

@@ -10,9 +10,11 @@
 //!   survive restarts and lets concurrent services share results.
 //!
 //! Invalidation is structural: the crate version participates in the
-//! spec key *and* is re-checked inside every record at load, so stale
-//! records from an older build are ignored (and eventually
-//! overwritten), never served. Failed jobs are never cached;
+//! spec key (through the stage keys it chains) *and* is re-checked
+//! inside every record at load, so stale records from an older build
+//! are ignored (and eventually overwritten), never served. Records
+//! written under an older key derivation are simply never looked up:
+//! a changed derivation makes misses, never wrong hits. Failed jobs are never cached;
 //! observability traces are never cached (a warm hit returns
 //! `obs: None` — traces describe an execution, not a result).
 
@@ -214,8 +216,8 @@ fn write_record_atomically(dir: &Path, key: &str, result: &CachedResult) -> io::
     out
 }
 
-/// One branch when observability is off, mirroring the BuildCache
-/// counters (`cache/…`) under a service-scoped prefix.
+/// Counts a lookup as `dse/results/{hits,misses}`; one branch when
+/// observability is off.
 fn record_obs(hit: bool) {
     if !macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
         return;

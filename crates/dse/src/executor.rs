@@ -15,12 +15,15 @@
 //!   deadline/cap exhaustion internally and return a degraded
 //!   [`macro3d::PpaResult`]; the job completes `Done` with a
 //!   populated degradation report, siblings unaffected.
-//! * **Identical specs execute at most once.** A cache hit skips the
-//!   flow; concurrent identical misses dedup through a single-flight
-//!   table — one leader runs, followers block on its cell and share
-//!   the `Arc`'d result (marked `cache_hit`). A leader *failure*
-//!   propagates to its followers and is not cached, so a later
-//!   resubmit retries.
+//! * **Specs with one result execute at most once.** Results are keyed
+//!   by [`JobSpec::spec_key`] — the spec's chained stage key plus its
+//!   obs level — so specs that differ only in knobs no stage reads
+//!   (thread counts, the top-level and placer chunk sizes) share a
+//!   key. A cache hit skips the flow; concurrent misses on one key
+//!   dedup through a single-flight table — one leader runs, followers
+//!   block on its cell and share the `Arc`'d result (marked
+//!   `cache_hit`). A leader *failure* propagates to its followers and
+//!   is not cached, so a later resubmit retries.
 //! * **Observability stays coherent.** The obs registry is
 //!   process-global, so workers take the [`macro3d_obs::session_permit`]
 //!   around obs-*enabled* jobs; obs-off jobs (sessions inert) run
@@ -121,7 +124,7 @@ impl JobStatus {
 /// A finished job's payload.
 #[derive(Clone, Debug)]
 pub struct JobResult {
-    /// Content key of the spec ([`JobSpec::spec_key`]).
+    /// Result key of the spec ([`JobSpec::spec_key`]).
     pub spec_key: String,
     /// The PPA row.
     pub ppa: PpaResult,

@@ -13,11 +13,12 @@
 //!
 //! * [`executor`] — deterministic worker-pool executor: bounded queue
 //!   with submit-side backpressure, per-job panic isolation, and
-//!   single-flight deduplication so identical specs run the flow at
-//!   most once no matter how many tenants race.
+//!   single-flight deduplication so specs with one result key run the
+//!   flow at most once no matter how many tenants race.
 //! * [`cache`] — content-keyed **persisted** result cache. Keys are
-//!   [`JobSpec::spec_key`] hashes (same FNV discipline as the in-
-//!   process `BuildCache`); records live on disk as JSON so warm hits
+//!   [`JobSpec::spec_key`]s: the chained stage key of the whole run
+//!   (the one the workers' stage caches match prefixes of) chained
+//!   with the obs level; records live on disk as JSON so warm hits
 //!   survive service restarts and skip the flow entirely.
 //! * [`sweep`] — grid expansion, knob application, Pareto front.
 //! * [`server`] — newline-delimited-JSON protocol for the
@@ -38,7 +39,6 @@ pub mod sweep;
 use macro3d::flows::Flow;
 use macro3d::jsonio;
 use macro3d::FlowConfig;
-use macro3d_json::Json;
 use macro3d_soc::TileConfig;
 
 pub use cache::{CacheStats, ResultCache};
@@ -51,8 +51,9 @@ pub use sweep::{PointResult, SweepAxis, SweepOutcome, SweepSpec};
 /// this crate emits; bump it when a record's shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// The crate version embedded in cache keys and persisted records —
-/// a version bump invalidates every persisted result.
+/// The crate version stamped into persisted records (the stage keys
+/// behind every spec key embed the same workspace version) — a
+/// version bump invalidates every persisted result.
 pub fn crate_version() -> &'static str {
     env!("CARGO_PKG_VERSION")
 }
@@ -80,45 +81,20 @@ impl JobSpec {
         }
     }
 
-    /// Canonical JSON form — the content the cache key hashes.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("flow", Json::str(self.flow.clone()))
-            .field("tile", jsonio::tile_config_to_json(&self.tile))
-            .field("config", jsonio::flow_config_to_json(&self.config))
-    }
-
-    /// Decodes a spec written by [`JobSpec::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`jsonio::CodecError`] naming the first missing or
-    /// mistyped field.
-    pub fn from_json(v: &Json) -> Result<JobSpec, jsonio::CodecError> {
-        let flow = v
-            .get("flow")
-            .and_then(Json::as_str)
-            .ok_or_else(|| jsonio::CodecError::new("missing string field 'flow'"))?;
-        let tile = v
-            .get("tile")
-            .ok_or_else(|| jsonio::CodecError::new("missing field 'tile'"))?;
-        let config = v
-            .get("config")
-            .ok_or_else(|| jsonio::CodecError::new("missing field 'config'"))?;
-        Ok(JobSpec {
-            flow: flow.to_string(),
-            tile: jsonio::tile_config_from_json(tile)?,
-            config: jsonio::flow_config_from_json(config)?,
-        })
-    }
-
-    /// Content key of this spec: 16 hex digits of FNV-1a 64 over the
-    /// crate version and the canonical spec JSON. Same spec → same
-    /// key, across processes and restarts; any knob change or crate
-    /// version bump → different key. The persisted result cache and
-    /// the executor's single-flight table are both keyed by this.
+    /// Content key of this spec's result: 16 hex digits of FNV-1a 64
+    /// over the spec's chained STA stage key (which covers every input
+    /// that can change a result, crate version included; see
+    /// [`macro3d::stage`]) and the obs level, since an observed job
+    /// must run to return its trace. Same result inputs → same key,
+    /// across processes and restarts, so thread counts and the chunk
+    /// sizes no stage reads never split results; any keyed knob
+    /// change or crate version bump → different key. The persisted
+    /// result cache and the executor's single-flight table are both
+    /// keyed by this.
     pub fn spec_key(&self) -> String {
-        let payload = format!("{}\u{1f}{}", crate_version(), self.to_json().emit());
+        let macro3d::ObsConfig { level } = self.config.obs;
+        let sta = self.stage_keys().key(macro3d::Stage::Sta);
+        let payload = format!("{sta:016x}\u{1f}obs={level:?}");
         format!("{:016x}", jsonio::fnv1a_64(payload.as_bytes()))
     }
 
@@ -168,17 +144,6 @@ mod tests {
         let mut retiled = spec.clone();
         retiled.tile.l2_kb *= 2;
         assert_ne!(key, retiled.spec_key(), "tile change changes the key");
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let mut spec = JobSpec::new("BF S2D", TileConfig::small_cache());
-        spec.config.sizing_rounds = 3;
-        let text = spec.to_json().emit();
-        let back = JobSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.flow, spec.flow);
-        assert_eq!(back.tile, spec.tile);
-        assert_eq!(back.spec_key(), spec.spec_key());
     }
 
     #[test]

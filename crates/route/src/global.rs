@@ -107,8 +107,9 @@ type Leg = ((BinIx, u16), (BinIx, u16));
 /// overflowed edge for up to `cfg.iterations` passes.
 ///
 /// Every routable net is guaranteed a route (possibly through
-/// overflowed edges, reported in the result). The result is
-/// bit-identical for any `cfg.parallelism.threads`.
+/// overflowed edges, which the result reports with the nets that
+/// cross them; see [`RoutedDesign::note_residual_overflow`]). The
+/// result is bit-identical for any `cfg.parallelism.threads`.
 ///
 /// # Examples
 ///
@@ -231,8 +232,8 @@ impl<'a> Negotiation<'a> {
         let max_iters = self.cfg.iterations.max(1);
         for iter in 0..max_iters {
             // budget checkpoint: stopping keeps every committed route
-            // (best-so-far); the residual overflow is reported by
-            // `assemble`
+            // (best-so-far); the flow reports the residual overflow
+            // through `RoutedDesign::note_residual_overflow`
             if let Checkpoint::Stop(reason) = checkpoint("route/iterations") {
                 note_degradation(
                     "route/iterations",
@@ -332,36 +333,14 @@ impl<'a> Negotiation<'a> {
         result.overflow = self.grid.total_overflow();
         result.overflowed_edges = self.grid.overflowed_edges();
         result.max_utilization = self.grid.max_utilization();
-        // Non-convergent routing is an explicit, named condition: any
-        // residual overflow after the negotiation loop gave up (cap,
-        // deadline, or plain iteration limit) lands in the flow's
-        // degradation report with the nets still crossing overflowed
-        // edges.
         if result.overflow > 0.0 {
-            use std::fmt::Write as _;
-            let offenders: Vec<NetId> = self
+            result.overflow_nets = self
                 .nets
                 .iter()
                 .zip(&self.net_edges)
                 .filter(|(_, edges)| edges.iter().any(|&e| self.grid.is_overflowed(e as usize)))
                 .map(|((net_id, _), _)| *net_id)
                 .collect();
-            let mut detail = format!(
-                "routing left residual overflow {} on {} edges: nets",
-                result.overflow, result.overflowed_edges
-            );
-            for (k, n) in offenders.iter().enumerate() {
-                if k == 8 {
-                    let _ = write!(detail, " … (+{})", offenders.len() - 8);
-                    break;
-                }
-                let _ = write!(detail, " {}", n.0);
-            }
-            note_degradation(
-                "route/iterations",
-                macro3d_par::StopReason::IterationCap,
-                detail,
-            );
         }
         result
     }

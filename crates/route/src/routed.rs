@@ -70,6 +70,9 @@ pub struct RoutedDesign {
     pub overflow: f64,
     /// Overflowed edge count after the final iteration.
     pub overflowed_edges: usize,
+    /// The nets whose routes still cross an overflowed edge, in
+    /// request order (empty when `overflow` is 0).
+    pub overflow_nets: Vec<macro3d_netlist::NetId>,
     /// Peak edge utilization.
     pub max_utilization: f64,
 }
@@ -78,6 +81,35 @@ impl RoutedDesign {
     /// The route of a net, if any.
     pub fn net(&self, id: macro3d_netlist::NetId) -> Option<&RoutedNet> {
         self.nets.get(id.index()).and_then(|n| n.as_ref())
+    }
+
+    /// Notes residual overflow as a `route/iterations` degradation
+    /// (total overflow, edge count and the first eight offending
+    /// nets), so a run that stops with overflowed edges is visibly
+    /// degraded. A no-op on a clean route. It reads only the finished
+    /// route, so a flow calls it for a fresh and a restored route
+    /// alike and both report the same residue.
+    pub fn note_residual_overflow(&self) {
+        use std::fmt::Write as _;
+        if self.overflow <= 0.0 {
+            return;
+        }
+        let mut detail = format!(
+            "routing left residual overflow {} on {} edges: nets",
+            self.overflow, self.overflowed_edges
+        );
+        for (k, n) in self.overflow_nets.iter().enumerate() {
+            if k == 8 {
+                let _ = write!(detail, " … (+{})", self.overflow_nets.len() - 8);
+                break;
+            }
+            let _ = write!(detail, " {}", n.0);
+        }
+        macro3d_par::note_degradation(
+            "route/iterations",
+            macro3d_par::StopReason::IterationCap,
+            detail,
+        );
     }
 
     /// The bump-density check: counts the GCells whose vias on the

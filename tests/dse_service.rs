@@ -2,7 +2,10 @@
 //! determinism, fault/budget isolation between tenants, persisted-
 //! cache restarts, and the NDJSON protocol.
 
-use macro3d::{ppa_fingerprint, ppa_to_json, FaultAction, FaultPlan, PlacerBackend, StopReason};
+use macro3d::{
+    ppa_fingerprint, ppa_to_json, FaultAction, FaultPlan, ObsConfig, Parallelism, PlacerBackend,
+    StopReason,
+};
 use macro3d_dse::server::{parse_spec, serve};
 use macro3d_dse::sweep::{run_sweep, SweepAxis, SweepSpec};
 use macro3d_dse::{DseConfig, DseService, DseStats, JobError, JobSpec};
@@ -75,6 +78,46 @@ fn concurrent_identical_jobs_execute_once_and_agree() {
         fingerprint_by_workers[0], fingerprint_by_workers[1],
         "worker count must not change the result"
     );
+}
+
+/// A result is keyed by what can change it. Specs that differ only in
+/// their thread counts and the top-level and placer chunk sizes, which
+/// no stage key names, share one key, so the second is a cache hit of
+/// the first. The obs level (an observed job must run to return its
+/// trace) and the route chunk size (the router commits per chunk)
+/// keep keys of their own.
+#[test]
+fn unkeyed_parallelism_knobs_share_one_result() {
+    let base = fast_spec();
+    let mut spread = base.clone();
+    spread.config.parallelism = Parallelism {
+        threads: 2,
+        chunk_size: 5,
+    };
+    spread.config.place.parallelism = Parallelism {
+        threads: 2,
+        chunk_size: 7,
+    };
+    spread.config.route.parallelism.threads = 2;
+    assert_eq!(base.spec_key(), spread.spec_key());
+
+    let service = DseService::start(DseConfig::default()).unwrap();
+    let client = service.client();
+    let first = client.wait(client.submit(base.clone()).unwrap()).unwrap();
+    let second = client.wait(client.submit(spread).unwrap()).unwrap();
+    assert!(!first.cache_hit, "the first spec runs cold");
+    assert!(second.cache_hit, "the second is served from the first");
+    assert_eq!(ppa_fingerprint(&first.ppa), ppa_fingerprint(&second.ppa));
+    assert_eq!(client.stats().flows_executed, 1);
+    service.shutdown();
+
+    let mut observed = base.clone();
+    observed.config.obs = ObsConfig::summary();
+    let mut rechunked = base.clone();
+    rechunked.config.route.parallelism.chunk_size += 1;
+    for other in [observed, rechunked] {
+        assert_ne!(base.spec_key(), other.spec_key());
+    }
 }
 
 /// One tenant's failure or degradation never leaks into another's

@@ -152,7 +152,12 @@ fn injected_errors_at_flow_gates_are_typed() {
 fn injected_exhaustion_degrades_instead_of_failing() {
     let tile = tiny_tile();
     // sites guaranteed to fire for Macro-3D with this config
-    let firing = ["flow/route", "route/iterations", "sta/sizing_rounds"];
+    let firing = [
+        "flow/route",
+        "place/anneal_proposals",
+        "route/iterations",
+        "sta/sizing_rounds",
+    ];
     for &site in STANDARD_SITES {
         let plan = FaultPlan::new().with_fault(site, 1, FaultAction::Exhaust);
         let mut cfg = fast_flow_cfg(0);

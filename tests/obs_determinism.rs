@@ -38,13 +38,6 @@ fn traced_cfg(threads: usize) -> FlowConfig {
 #[test]
 fn full_trace_is_identical_across_thread_counts() {
     let tile = tiny_tile();
-
-    // Warm-up pass: the build cache is process-global, so without it
-    // the first traced run would record cache misses and the second
-    // hits, which is a (correct) run-order difference, not a
-    // thread-count difference.
-    Macro3d.run(&tile, &traced_cfg(1));
-
     let t1 = Macro3d
         .run(&tile, &traced_cfg(1))
         .obs
@@ -65,13 +58,12 @@ fn full_trace_is_identical_across_thread_counts() {
         "metric values differ between 1 and 8 threads"
     );
 
-    // the trace carries the instrumented engines end to end (anneal
-    // counters live inside the cached floorplan builder and are only
-    // recorded on a cold cache, so they are asserted by `obs_smoke`,
-    // not here)
+    // the trace carries the instrumented engines end to end, the
+    // macro anneal of the floorplan stage included
     assert!(t1.stage_names().len() >= 6, "{:?}", t1.stage_names());
     let m = &t1.metrics;
     for counter in [
+        "place/anneal_proposals",
         "place/fm_passes",
         "route/iterations",
         "extract/nets",
@@ -80,7 +72,5 @@ fn full_trace_is_identical_across_thread_counts() {
         assert!(m.counters.contains_key(counter), "{counter} missing");
     }
     assert!(m.series.contains_key("route/overflow"));
-    assert!(m.counters.keys().any(|k| k.starts_with("cache/")));
-    let derived = t1.metrics_json();
-    assert!(derived.contains("hit_rate"));
+    assert!(t1.metrics_json().contains("place/anneal_accept_ratio"));
 }

@@ -1,8 +1,9 @@
 //! The stage-graph reuse determinism contract (DESIGN.md §17):
 //! a flow re-entered from a worker's stage cache must produce a PPA
-//! fingerprint bit-identical to a fully cold run — across worker
-//! counts, across sweep-point submission orderings, and with reuse
-//! disabled outright. Budget and fault-plan knobs must key every
+//! fingerprint bit-identical to a fully cold run, and the same
+//! degradation report (a restored route keeps its residual overflow) —
+//! across worker counts, across sweep-point submission orderings, and
+//! with reuse disabled outright. Budget and fault-plan knobs must key every
 //! stage and turn stage caching off entirely. Every field the
 //! floorplan, place and route keys name must change what its stage key
 //! says it changes, and the placer chunk size, which no key names,
@@ -14,8 +15,8 @@
 use macro3d::flow::sta_constraints;
 use macro3d::flows::{Flow, FlowOutcome, Macro3d};
 use macro3d::{
-    ppa_fingerprint, stage_keys, FlowConfig, Parallelism, PlacerBackend, Stage, StageCache,
-    StageReuse,
+    ppa_fingerprint, stage_keys, DegradationReport, FlowConfig, Parallelism, PlacerBackend, Stage,
+    StageCache, StageReuse,
 };
 use macro3d_dse::sweep::{apply_knob, run_sweep, SweepAxis, SweepSpec};
 use macro3d_dse::{DseConfig, DseService, JobSpec, SweepOutcome};
@@ -61,6 +62,15 @@ fn fingerprints(outcome: &SweepOutcome) -> Vec<u64> {
         .points
         .iter()
         .map(|p| ppa_fingerprint(&p.ok().expect("point succeeded").ppa))
+        .collect()
+}
+
+/// Each point's degradation report, in grid order.
+fn degradations(outcome: &SweepOutcome) -> Vec<DegradationReport> {
+    outcome
+        .points
+        .iter()
+        .map(|p| p.ok().expect("point succeeded").degradation.clone())
         .collect()
 }
 
@@ -112,6 +122,14 @@ fn warm_prefix_fingerprints_match_cold_across_worker_counts() {
         fp_cold,
         "worker count must not change any result"
     );
+    // a restored route still carries its residual overflow
+    let cold_reports = degradations(&cold);
+    assert_eq!(
+        degradations(&serial),
+        cold_reports,
+        "warm points must report what the cold scratch run reports"
+    );
+    assert_eq!(degradations(&wide), cold_reports);
 }
 
 /// Submission order is a pure scheduling concern: a grid submitted in
@@ -301,6 +319,11 @@ fn pitch_sweeps_re_enter_at_sta() {
     depths.sort_unstable();
     assert_eq!(depths, [0, 4, 4, 4], "a pitch change must not re-route");
     assert_eq!(fingerprints(&warm), fingerprints(&cold));
+    assert_eq!(
+        degradations(&warm),
+        degradations(&cold),
+        "an STA re-entry must report the restored route's residue"
+    );
 }
 
 /// Reuse must pay for itself: on a sizing-only sweep every point after
@@ -391,7 +414,7 @@ fn restored_first_analysis_matches_a_fresh_one() {
     let input = StaInput {
         design: &placed.design,
         parasitics: &extract.parasitics,
-        routed: Some(&route.routed),
+        routed: Some(&route),
         constraints: &constraints,
         clock: &extract.clock,
         corner: Corner::signoff(),
