@@ -63,7 +63,6 @@ pub mod s2d;
 pub mod stage;
 pub mod via_plan;
 
-pub use build_cache::{BuildCache, CacheStats};
 pub use config::{ConfigError, FlowConfigBuilder};
 pub use error::FlowError;
 pub use flow::{FlowConfig, ImplementedDesign, StageTimer, StageTimes};
