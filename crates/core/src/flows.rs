@@ -65,11 +65,11 @@ pub struct FlowOutcome {
 /// its stage hits and misses in the session
 /// ([`StageReuse::record_obs`]).
 ///
-/// The obs level and metrics registry are process-global, so flows
-/// must run one at a time (they always have: every driver iterates
-/// [`standard_flows`] serially). The obs session and budget scope are
-/// torn down on the error path too, so a failed flow never leaks
-/// global state into the next run.
+/// The obs session and the budget scope both belong to the calling
+/// thread, so flows on different threads run and record independently.
+/// Both are torn down on the error path and on unwinding too, so a
+/// failed flow never leaves its recorder or budget armed for the next
+/// run on the thread.
 fn run_flow(
     name: &str,
     label: String,

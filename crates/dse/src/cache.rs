@@ -112,7 +112,6 @@ impl ResultCache {
         if let Some(hit) = self.memory().get(key) {
             let hit = Arc::clone(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            record_obs(true);
             return Some(hit);
         }
         if let Some(loaded) = self.load_record(key) {
@@ -122,11 +121,9 @@ impl ResultCache {
                 .or_insert_with(|| Arc::clone(&loaded));
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            record_obs(true);
             return Some(loaded);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        record_obs(false);
         None
     }
 
@@ -214,18 +211,6 @@ fn write_record_atomically(dir: &Path, key: &str, result: &CachedResult) -> io::
         let _ = fs::remove_file(&tmp);
     }
     out
-}
-
-/// Counts a lookup as `dse/results/{hits,misses}`; one branch when
-/// observability is off.
-fn record_obs(hit: bool) {
-    if !macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-        return;
-    }
-    let outcome = if hit { "hits" } else { "misses" };
-    macro3d_obs::registry()
-        .counter(&format!("dse/results/{outcome}"))
-        .inc();
 }
 
 #[cfg(test)]

@@ -24,10 +24,11 @@
 //!   block on its cell and share the `Arc`'d result (marked
 //!   `cache_hit`). A leader *failure* propagates to its followers and
 //!   is not cached, so a later resubmit retries.
-//! * **Observability stays coherent.** The obs registry is
-//!   process-global, so workers take the [`macro3d_obs::session_permit`]
-//!   around obs-*enabled* jobs; obs-off jobs (sessions inert) run
-//!   fully concurrently.
+//! * **Observed jobs run concurrently.** A job's obs session installs
+//!   its recorder on the worker thread that runs it (and, through the
+//!   parallel primitives' fork points, on that job's own helper
+//!   threads), so each trace counts exactly its own run, whatever its
+//!   siblings are doing.
 
 use crate::cache::{CacheStats, CachedResult, ResultCache};
 use crate::{flow_by_name, JobSpec};
@@ -626,12 +627,11 @@ fn run_one(
 }
 
 /// The cold path: generate the tile and run the flow, isolated by
-/// `catch_unwind` and serialized against other obs-enabled jobs. The
-/// worker's stage cache (when enabled) supplies the tile, generated
-/// once per distinct `TileConfig`, and lets the flow re-enter after
-/// its longest key-matched stage prefix; a panic mid-run is safe —
-/// cache slots are only written at completed stage boundaries, and a
-/// held tile is never written.
+/// `catch_unwind`. The worker's stage cache (when enabled) supplies
+/// the tile, generated once per distinct `TileConfig`, and lets the
+/// flow re-enter after its longest key-matched stage prefix; a panic
+/// mid-run is safe — cache slots are only written at completed stage
+/// boundaries, and a held tile is never written.
 fn execute_flow(
     inner: &Inner,
     spec: &JobSpec,
@@ -639,13 +639,6 @@ fn execute_flow(
     stage_cache: &mut macro3d::StageCache,
 ) -> Result<Arc<JobResult>, String> {
     let flow = flow_by_name(&spec.flow).ok_or_else(|| format!("unknown flow '{}'", spec.flow))?;
-    // the obs registry/level are process-global: hold the process's
-    // one session permit for the whole obs-enabled execution
-    let _obs_permit = if spec.config.obs.is_off() {
-        None
-    } else {
-        Some(macro3d_obs::session_permit())
-    };
     inner.flows_executed.fetch_add(1, Ordering::Relaxed);
     let stage_reuse = inner.cfg.stage_reuse;
     let started = Instant::now();

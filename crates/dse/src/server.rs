@@ -35,7 +35,6 @@ use macro3d::jsonio;
 use macro3d::FlowConfig;
 use macro3d_json::Json;
 use std::io::{self, BufRead, Write};
-use std::sync::Arc;
 
 /// Serves the protocol over any line-oriented transport until EOF or
 /// a `shutdown` command. Malformed lines produce `"ok": false`
@@ -106,7 +105,13 @@ fn handle_line<W: Write>(line: &str, writer: &mut W, client: &DseClient) -> io::
         },
         "wait" => match job_id(&request) {
             Ok(id) => match client.wait(id) {
-                Ok(result) => respond(writer, &result_json(id, &result))?,
+                Ok(result) => {
+                    let line = Json::obj()
+                        .field("ok", Json::Bool(true))
+                        .field("job", Json::from_u64(id.0))
+                        .field("status", Json::str(JobStatus::Done.as_str()));
+                    respond(writer, &result_json(line, &result))?
+                }
                 Err(e) => respond(writer, &error_json(&e.to_string()))?,
             },
             Err(msg) => respond(writer, &error_json(&msg))?,
@@ -293,18 +298,17 @@ fn parse_sweep(request: &Json) -> Result<SweepSpec, String> {
     Ok(SweepSpec { base, axes })
 }
 
-/// The full result line `wait` and sweep streaming share.
-fn result_json(id: JobId, result: &Arc<JobResult>) -> Json {
-    Json::obj()
-        .field("ok", Json::Bool(true))
-        .field("job", Json::from_u64(id.0))
-        .field("status", Json::str(JobStatus::Done.as_str()))
-        .field("spec_key", Json::str(result.spec_key.clone()))
+/// Appends a job result's members to `line`: the one serializer of a
+/// [`JobResult`], shared by `wait` (which leads with `job` and
+/// `status`) and sweep point lines (which lead with `point`).
+fn result_json(line: Json, result: &JobResult) -> Json {
+    line.field("spec_key", Json::str(result.spec_key.clone()))
         .field("cache_hit", Json::Bool(result.cache_hit))
         .field(
             "fingerprint",
             Json::str(format!("{:016x}", jsonio::ppa_fingerprint(&result.ppa))),
         )
+        .field("degraded", Json::Bool(result.degradation.is_degraded()))
         .field("wall_s", Json::from_f64(result.wall_s))
         .field("reuse_depth", Json::from_usize(result.reuse_depth))
         .field(
@@ -319,29 +323,12 @@ fn result_json(id: JobId, result: &Arc<JobResult>) -> Json {
 }
 
 fn point_json(point: &PointResult) -> Json {
+    let line = Json::obj()
+        .field("ok", Json::Bool(point.result.is_ok()))
+        .field("point", Json::str(point.label.clone()));
     match &point.result {
-        Ok(result) => Json::obj()
-            .field("ok", Json::Bool(true))
-            .field("point", Json::str(point.label.clone()))
-            .field("spec_key", Json::str(result.spec_key.clone()))
-            .field("cache_hit", Json::Bool(result.cache_hit))
-            .field("reuse_depth", Json::from_usize(result.reuse_depth))
-            .field(
-                "fingerprint",
-                Json::str(format!("{:016x}", jsonio::ppa_fingerprint(&result.ppa))),
-            )
-            .field("degraded", Json::Bool(result.degradation.is_degraded()))
-            .field("fclk_mhz", Json::from_f64(result.ppa.fclk_mhz))
-            .field("emean_fj", Json::from_f64(result.ppa.emean_fj))
-            .field("footprint_mm2", Json::from_f64(result.ppa.footprint_mm2))
-            .field(
-                "total_wirelength_m",
-                Json::from_f64(result.ppa.total_wirelength_m),
-            ),
-        Err(msg) => Json::obj()
-            .field("ok", Json::Bool(false))
-            .field("point", Json::str(point.label.clone()))
-            .field("error", Json::str(msg.clone())),
+        Ok(result) => result_json(line, result),
+        Err(msg) => line.field("error", Json::str(msg.clone())),
     }
 }
 

@@ -1,9 +1,11 @@
 //! Typed metrics registry: counters, gauges, histograms, series.
 //!
-//! Handles are cheap `Arc`-backed clones recording through atomics,
-//! so hot engine loops pay one relaxed atomic op per event — and only
-//! a relaxed load + branch when observability is off. All exported
-//! values are either integers or deterministic functions of them, so
+//! Each session owns one [`Registry`]. Handles are cheap `Arc`-backed
+//! clones recording through atomics; the [`SiteCounter`] and
+//! [`SiteHistogram`] statics of the engines look their instrument up
+//! in the recording thread's registry on every event, and cost one
+//! thread-local read when nothing records there. All exported values
+//! are either integers or deterministic functions of them, so
 //! snapshots are bit-identical across thread counts as long as
 //! recording sites fire a thread-count-independent set of events
 //! (counters are commutative sums; gauges and series must only be
@@ -11,7 +13,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Monotonic `u64` counter.
 #[derive(Clone)]
@@ -124,26 +130,18 @@ pub struct Series(Arc<Mutex<Vec<f64>>>);
 impl Series {
     /// Appends one sample.
     pub fn push(&self, v: f64) {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(v);
+        lock(&self.0).push(v);
     }
 
     /// Copies out the samples recorded so far.
     pub fn values(&self) -> Vec<f64> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.0).clone()
     }
 }
 
-/// The process-wide metrics registry (see [`registry`]).
-///
-/// Instruments are created on first use and *never removed*:
-/// [`Registry::reset`] zeroes values so cached handles (e.g. in
-/// [`SiteCounter`] statics) stay valid across flow sessions.
+/// One session's metrics (see [`crate::registry`]). Instruments are
+/// created on first use, so a snapshot lists exactly the instruments
+/// the session's run touched.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -152,136 +150,71 @@ pub struct Registry {
     series: Mutex<BTreeMap<String, Series>>,
 }
 
-/// The process-wide registry used by all instrumentation sites.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
+/// The instrument called `name` in `map`, created by `new` on first
+/// use; only that first use allocates.
+fn instrument<T: Clone>(
+    map: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> T {
+    let mut map = lock(map);
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    let made = new();
+    map.insert(name.to_owned(), made.clone());
+    made
+}
+
+/// Every instrument's value in `map`, by name.
+fn values<T, V>(map: &Mutex<BTreeMap<String, T>>, value: impl Fn(&T) -> V) -> BTreeMap<String, V> {
+    lock(map)
+        .iter()
+        .map(|(k, v)| (k.clone(), value(v)))
+        .collect()
 }
 
 impl Registry {
     /// Returns (creating if needed) the counter called `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
+        instrument(&self.counters, name, || {
+            Counter(Arc::new(AtomicU64::new(0)))
+        })
     }
 
     /// Returns (creating if needed) the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-            .clone()
+        instrument(&self.gauges, name, || {
+            Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
+        })
     }
 
     /// Returns (creating if needed) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| {
-                Histogram(Arc::new(HistInner {
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                    min: AtomicU64::new(u64::MAX),
-                    max: AtomicU64::new(0),
-                }))
-            })
-            .clone()
+        instrument(&self.histograms, name, || {
+            Histogram(Arc::new(HistInner {
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
+                min: AtomicU64::new(u64::MAX),
+                max: AtomicU64::new(0),
+            }))
+        })
     }
 
     /// Returns (creating if needed) the series called `name`.
     pub fn series(&self, name: &str) -> Series {
-        let mut map = self
-            .series
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Series(Arc::new(Mutex::new(Vec::new()))))
-            .clone()
-    }
-
-    /// Zeroes every instrument without removing it (session start).
-    pub fn reset(&self) {
-        for c in self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            c.0.store(0, Ordering::Relaxed);
-        }
-        for g in self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            g.0.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-        for h in self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            h.0.count.store(0, Ordering::Relaxed);
-            h.0.sum.store(0, Ordering::Relaxed);
-            h.0.min.store(u64::MAX, Ordering::Relaxed);
-            h.0.max.store(0, Ordering::Relaxed);
-        }
-        for s in self
-            .series
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            s.0.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
+        instrument(&self.series, name, || {
+            Series(Arc::new(Mutex::new(Vec::new())))
+        })
     }
 
     /// Copies out every instrument's current value (session finish).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            series: self
-                .series
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.values()))
-                .collect(),
+            counters: values(&self.counters, Counter::get),
+            gauges: values(&self.gauges, Gauge::get),
+            histograms: values(&self.histograms, Histogram::snapshot),
+            series: values(&self.series, Series::values),
         }
     }
 }
@@ -300,9 +233,9 @@ pub struct MetricsSnapshot {
     pub series: BTreeMap<String, Vec<f64>>,
 }
 
-/// A counter site suitable for a file-level `static`: resolves its
-/// registry handle once, and every [`SiteCounter::add`] is a relaxed
-/// level check (plus one atomic add when observability is on).
+/// A counter site suitable for a file-level `static`: every
+/// [`SiteCounter::add`] is one thread-local read, plus a lookup and an
+/// atomic add in the thread's registry while a session records.
 ///
 /// ```
 /// static NETS: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("extract/nets");
@@ -310,26 +243,19 @@ pub struct MetricsSnapshot {
 /// ```
 pub struct SiteCounter {
     name: &'static str,
-    cell: OnceLock<Counter>,
 }
 
 impl SiteCounter {
     /// Declares a counter site named `name`.
     pub const fn new(name: &'static str) -> Self {
-        SiteCounter {
-            name,
-            cell: OnceLock::new(),
-        }
+        SiteCounter { name }
     }
 
-    /// Adds `n` if observability is at least [`crate::ObsLevel::Summary`].
+    /// Adds `n` if this thread's session records (at least
+    /// [`crate::ObsLevel::Summary`]).
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled(crate::ObsLevel::Summary) {
-            self.cell
-                .get_or_init(|| registry().counter(self.name))
-                .add(n);
-        }
+        crate::with_registry(|registry| registry.counter(self.name).add(n));
     }
 
     /// Adds one (level-gated like [`SiteCounter::add`]).
@@ -343,25 +269,18 @@ impl SiteCounter {
 /// analogue of [`SiteCounter`].
 pub struct SiteHistogram {
     name: &'static str,
-    cell: OnceLock<Histogram>,
 }
 
 impl SiteHistogram {
     /// Declares a histogram site named `name`.
     pub const fn new(name: &'static str) -> Self {
-        SiteHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
+        SiteHistogram { name }
     }
 
-    /// Records `v` if observability is at least [`crate::ObsLevel::Summary`].
+    /// Records `v` if this thread's session records (at least
+    /// [`crate::ObsLevel::Summary`]).
     #[inline]
     pub fn record(&self, v: u64) {
-        if crate::enabled(crate::ObsLevel::Summary) {
-            self.cell
-                .get_or_init(|| registry().histogram(self.name))
-                .record(v);
-        }
+        crate::with_registry(|registry| registry.histogram(self.name).record(v));
     }
 }

@@ -9,9 +9,11 @@
 //! the caller's buffer sorted by key. Because the keys depend only on
 //! the work decomposition — which `macro3d-par` guarantees is
 //! thread-count-independent — the stitched span tree is bit-identical
-//! for any number of worker threads.
+//! for any number of worker threads. A branch also installs the
+//! forking thread's recorder on its worker, so metrics recorded there
+//! land in the forking session's registry.
 
-use crate::ObsLevel;
+use crate::{ObsLevel, Run};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -83,18 +85,10 @@ fn tid() -> u32 {
     })
 }
 
-/// Clears the current thread's span buffer (session start).
-pub(crate) fn reset_thread() {
-    TLS.with(|t| {
-        let mut buf = t.borrow_mut();
-        buf.nodes.clear();
-        buf.stack.clear();
-    });
-}
-
-/// Drains the current thread's span buffer (session finish).
-pub(crate) fn take_thread() -> Vec<Node> {
-    TLS.with(|t| std::mem::take(&mut *t.borrow_mut())).nodes
+/// Makes `buf` the current thread's span buffer; returns the one it
+/// displaces (session start and finish).
+pub(crate) fn swap_thread(buf: LocalBuf) -> LocalBuf {
+    TLS.replace(buf)
 }
 
 /// Opens a span unconditionally (the session root).
@@ -196,35 +190,48 @@ struct ForkInner {
 
 /// A fork point for a parallel region (see the module docs).
 ///
-/// Inert (zero-cost beyond one `Option` check) unless the session
-/// level is [`ObsLevel::Full`] when [`fork`] is called.
+/// Inert (zero-cost beyond one `Option` check) when nothing records on
+/// the thread that calls [`fork`]. Branch span forests are collected
+/// only at [`ObsLevel::Full`].
 #[derive(Clone)]
 pub struct ForkPoint {
-    inner: Option<Arc<ForkInner>>,
+    /// The forking thread's recorder, installed on every branch.
+    run: Option<Run>,
+    spans: Option<Arc<ForkInner>>,
 }
 
 /// Creates a fork point. Call on the forking thread, *before* the
 /// parallel region; hand (a clone of) it to every worker.
 pub fn fork() -> ForkPoint {
-    let inner = crate::enabled(ObsLevel::Full).then(|| {
-        Arc::new(ForkInner {
-            branches: Mutex::new(Vec::new()),
-        })
-    });
-    ForkPoint { inner }
+    let run = crate::current();
+    let spans = run
+        .as_ref()
+        .filter(|run| run.level >= ObsLevel::Full)
+        .map(|_| {
+            Arc::new(ForkInner {
+                branches: Mutex::new(Vec::new()),
+            })
+        });
+    ForkPoint { run, spans }
 }
 
 impl ForkPoint {
-    /// Enters a branch: spans recorded until the guard drops go into
-    /// a private forest shipped to the fork point, keyed by `key`.
+    /// Enters a branch: until the guard drops, this thread records
+    /// into the forking session, and (at [`ObsLevel::Full`]) its spans
+    /// go into a private forest shipped to the fork point, keyed by
+    /// `key`.
     ///
     /// `key` must be a deterministic function of the work item (chunk
     /// start index, join-arm number), unique within the fork, and
     /// must never encode the executing thread.
     pub fn branch(&self, key: u64) -> Option<BranchGuard> {
-        self.inner.as_ref().map(|inner| BranchGuard {
-            saved: Some(TLS.with(|t| t.replace(LocalBuf::default()))),
-            inner: Arc::clone(inner),
+        let run = self.run.clone()?;
+        Some(BranchGuard {
+            displaced: crate::install(Some(run)),
+            spans: self
+                .spans
+                .as_ref()
+                .map(|inner| (Arc::clone(inner), TLS.replace(LocalBuf::default()))),
             key,
         })
     }
@@ -234,7 +241,7 @@ impl ForkPoint {
     /// has dropped (i.e. after the worker scope ends); branch roots
     /// become children of the caller's innermost open span.
     pub fn join(self) {
-        let Some(inner) = self.inner else { return };
+        let Some(inner) = self.spans else { return };
         let mut branches = std::mem::take(
             &mut *inner
                 .branches
@@ -259,16 +266,23 @@ impl ForkPoint {
     }
 }
 
-/// Scopes one branch of a [`ForkPoint`]; ships its forest on drop.
+/// Scopes one branch of a [`ForkPoint`]: restores the thread's own
+/// recorder on drop and ships the branch's forest.
 pub struct BranchGuard {
-    saved: Option<LocalBuf>,
-    inner: Arc<ForkInner>,
+    displaced: Option<Run>,
+    /// The fork point and the span buffer the branch displaced, at
+    /// [`ObsLevel::Full`].
+    spans: Option<(Arc<ForkInner>, LocalBuf)>,
     key: u64,
 }
 
 impl Drop for BranchGuard {
     fn drop(&mut self) {
-        let recorded = TLS.with(|t| t.replace(self.saved.take().unwrap_or_default()));
+        crate::install(self.displaced.take());
+        let Some((inner, saved)) = self.spans.take() else {
+            return;
+        };
+        let recorded = TLS.replace(saved);
         let mut nodes = recorded.nodes;
         // Close any span left open in the branch (a panic unwound
         // past its guard) so the forest stays well-formed.
@@ -280,7 +294,7 @@ impl Drop for BranchGuard {
             }
         }
         if !nodes.is_empty() {
-            self.inner
+            inner
                 .branches
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)

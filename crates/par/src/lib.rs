@@ -765,7 +765,8 @@ mod tests {
 
     /// Spans opened inside worker closures stitch into the same tree
     /// for any thread count (the obs arm of the determinism
-    /// contract). One test fn: the obs session level is global.
+    /// contract). Each session records on this test's thread, and the
+    /// fork points carry it to the workers.
     #[test]
     fn spans_stitch_identically_across_thread_counts() {
         use macro3d_obs::{ObsConfig, Session};

@@ -543,10 +543,9 @@ pub fn analytical_place(
             None => 0.0,
         };
 
-        if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
+        if let Some(reg) = macro3d_obs::registry() {
             // serial sum of the per-net spans in net order
             let hpwl_um: f64 = spans.iter().sum();
-            let reg = macro3d_obs::registry();
             reg.series("place/overflow").push(overflow);
             reg.series("place/hpwl_um").push(hpwl_um);
             reg.series("place/step_size").push(alpha);

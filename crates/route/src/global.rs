@@ -303,9 +303,8 @@ impl<'a> Negotiation<'a> {
             }
             // serial commit section, so the per-iteration overflow
             // history is deterministic for any thread count
-            if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-                macro3d_obs::registry()
-                    .series("route/overflow")
+            if let Some(reg) = macro3d_obs::registry() {
+                reg.series("route/overflow")
                     .push(self.grid.total_overflow());
             }
         }

@@ -93,8 +93,7 @@ pub fn synthesize_clock_tree(
         design, placement, &mut tree, &mut items, clock_net, root_pos, 0, spacing_um, buf_cell,
         buf_in, buf_out,
     );
-    if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-        let reg = macro3d_obs::registry();
+    if let Some(reg) = macro3d_obs::registry() {
         reg.gauge("sta/cts_levels").set(tree.depth as f64);
         reg.counter("sta/cts_buffers")
             .add(tree.buffers.len() as u64);

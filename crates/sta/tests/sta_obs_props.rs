@@ -2,10 +2,8 @@
 //! most 3 full propagations (1 pass + confirmation, vs the legacy 32+
 //! probes), and incremental updates record their cone sizes.
 //!
-//! Single `#[test]` on purpose: the obs level and registry are
-//! process-global, and this integration-test binary is its own
-//! process, so the counters observed here are exactly the ones this
-//! test produced.
+//! The session's registry belongs to this test's thread, so the
+//! counters observed here are exactly the ones this test produced.
 
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::{Design, PinRef};
@@ -97,7 +95,7 @@ fn input<'a>(
 #[test]
 fn parametric_analyze_stays_within_propagation_budget() {
     let obs = Session::start(ObsConfig::summary(), "sta-obs");
-    let reg = macro3d_obs::registry();
+    let reg = macro3d_obs::registry().expect("the summary session records");
     let propagations = reg.counter("sta/propagations");
     let par = Parallelism::serial();
 

@@ -120,6 +120,68 @@ fn unkeyed_parallelism_knobs_share_one_result() {
     }
 }
 
+/// Each observed job's trace counts exactly its own run. On 2 workers
+/// without stage reuse, two observed Macro-3D jobs submitted among
+/// obs-off 2D jobs with keys of their own report the counters each
+/// spec reports on a 1-worker service.
+#[test]
+fn observed_jobs_trace_only_their_own_run() {
+    let observed = |sizing_rounds: usize| {
+        let mut spec = fast_spec();
+        spec.config.sizing_rounds = sizing_rounds;
+        spec.config.obs = ObsConfig::summary();
+        spec
+    };
+    let sibling = |k: usize| {
+        let mut spec = JobSpec::new("2D", TileConfig::mini());
+        spec.config.sizing_rounds = 0;
+        spec.config.route.iterations = 1;
+        spec.config.util_logic = 0.5 + 0.05 * k as f64;
+        spec
+    };
+    let counters = |workers: usize, specs: &[JobSpec]| {
+        let service = DseService::start(DseConfig {
+            workers,
+            stage_reuse: false,
+            ..DseConfig::default()
+        })
+        .unwrap();
+        let client = service.client();
+        let ids: Vec<_> = specs
+            .iter()
+            .map(|spec| client.submit(spec.clone()).unwrap())
+            .collect();
+        let traced: Vec<_> = ids
+            .into_iter()
+            .map(|id| {
+                let result = client.wait(id).unwrap();
+                assert!(!result.cache_hit, "every key is distinct");
+                result
+                    .obs
+                    .as_ref()
+                    .map(|trace| trace.metrics.counters.clone())
+            })
+            .collect();
+        service.shutdown();
+        traced
+    };
+    let alone = counters(1, &[observed(1), observed(2)]);
+    assert!(alone.iter().all(Option::is_some), "observed jobs trace");
+    let crowd = [
+        sibling(0),
+        sibling(1),
+        sibling(2),
+        observed(1),
+        sibling(3),
+        sibling(4),
+        sibling(5),
+        observed(2),
+    ];
+    let crowded = counters(2, &crowd);
+    assert_eq!(crowded[3], alone[0], "first observed job");
+    assert_eq!(crowded[7], alone[1], "second observed job");
+}
+
 /// One tenant's failure or degradation never leaks into another's
 /// job, and the service keeps serving afterwards.
 #[test]
@@ -323,7 +385,7 @@ fn ndjson_protocol_round_trip() {
         Some(16)
     );
     assert_eq!(lines[3].get("status").and_then(Json::as_str), Some("done"));
-    // sweep: two point lines then the summary
+    // sweep: two point lines, each the full result, then the summary
     assert_eq!(
         lines[4].get("point").and_then(Json::as_str),
         Some("macro_metals=4")
@@ -332,6 +394,11 @@ fn ndjson_protocol_round_trip() {
         lines[5].get("point").and_then(Json::as_str),
         Some("macro_metals=6")
     );
+    for point in &lines[4..6] {
+        for member in ["stage_times", "ppa", "degradation", "wall_s"] {
+            assert!(point.get(member).is_some(), "{member} missing: {point:?}");
+        }
+    }
     assert_eq!(
         lines[6].get("sweep_done").and_then(Json::as_bool),
         Some(true)

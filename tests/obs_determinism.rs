@@ -33,8 +33,6 @@ fn traced_cfg(threads: usize) -> FlowConfig {
     cfg
 }
 
-/// One test function: the obs session state is global, so runs must
-/// not interleave with each other.
 #[test]
 fn full_trace_is_identical_across_thread_counts() {
     let tile = tiny_tile();

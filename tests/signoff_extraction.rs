@@ -7,9 +7,8 @@ use macro3d::flows::{Flow, Macro3d};
 use macro3d::{FlowConfig, ObsConfig};
 use macro3d_soc::{generate_tile, TileConfig};
 
-/// One test function: obs counters are process-global while a session
-/// is enabled, so no other flow may run in this binary at the same
-/// time.
+/// The counters are this run's own: its session's registry belongs to
+/// the flow thread.
 #[test]
 fn signoff_extracts_each_routed_net_once() {
     let tile = generate_tile(&TileConfig::mini());

@@ -1,10 +1,8 @@
 //! The stage-reuse obs counters reach the flow's trace: a run records
 //! its stage hits and misses inside its own obs session, counting
 //! misses over the cacheable stages only, as `DseStats` does.
-//!
-//! This test has a binary to itself. The obs level and registry are
-//! process-global, so an obs-off flow running concurrently in the same
-//! binary would add to the counters.
+//! The counters are the run's own: its session's registry belongs to
+//! the flow thread.
 
 use macro3d::flows::{Flow, Macro3d};
 use macro3d::{FlowConfig, ObsConfig, StageCache, StageReuse};
