@@ -133,13 +133,6 @@ pub enum Checkpoint {
     Stop(StopReason),
 }
 
-impl Checkpoint {
-    /// True for [`Checkpoint::Stop`].
-    pub fn should_stop(&self) -> bool {
-        matches!(self, Checkpoint::Stop(_))
-    }
-}
-
 /// One stage's record of early termination or residual violations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageDegradation {
@@ -342,10 +335,10 @@ pub fn checkpoint(site: &str) -> Checkpoint {
         }
         state.sites[ix].visits += 1;
         let visits = state.sites[ix].visits;
-        let injected = state.faults.fault_at(site, visits).map(|a| match a {
-            FaultAction::Exhaust => StopReason::InjectedExhaust,
-            FaultAction::Error => StopReason::InjectedError,
-        });
+        let injected = state
+            .faults
+            .fault_at(site, visits)
+            .map(FaultAction::stop_reason);
         let capped = state
             .caps
             .iter()

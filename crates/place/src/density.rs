@@ -190,11 +190,6 @@ impl ElectroGrid {
         self.hy
     }
 
-    /// Target density (movable area over usable area, clamped).
-    pub fn target_density(&self) -> f64 {
-        self.target
-    }
-
     /// Buffers for [`Self::accumulate`], [`Self::potential`] and
     /// [`Self::field`] over `n_cells` movable cells: allocate once per
     /// placement, reuse every iteration.

@@ -191,15 +191,6 @@ impl LibCell {
     pub fn area_um2(&self) -> f64 {
         self.size.area_um2()
     }
-
-    /// Worst (max over arcs) delay at the given slew/load — a quick
-    /// bound used by optimization heuristics.
-    pub fn worst_delay(&self, slew: f64, load: f64) -> f64 {
-        self.arcs
-            .iter()
-            .map(|a| a.delay.eval(slew, load))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A complete standard-cell library plus row geometry.
