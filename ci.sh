@@ -115,63 +115,47 @@ fi
 grep -q "write table" target/dse_sweep_full.err
 echo "dse_sweep --out /dev/full fails: $(tail -1 target/dse_sweep_full.err)"
 
-echo "==> sweep-reuse gate (stage-graph prefix reuse, depth + determinism)"
-# 2-axis mini sweep on one worker: util_logic changes the floorplan
-# key (two cold prefixes), sizing_rounds only the STA key (one depth-4
-# re-entry per prefix). The scratch run (reuse off) must be all-cold
-# and bit-identical, and every point must report the degradation the
-# scratch run reports (a restored route keeps its residual overflow).
-./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
-  --axis util_logic=0.55,0.6 --axis sizing_rounds=1,2 --workers 1 \
-  --out target/sweep_reuse_on.txt
-./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
-  --axis util_logic=0.55,0.6 --axis sizing_rounds=1,2 --workers 1 \
-  --no-stage-reuse --out target/sweep_reuse_off.txt
-python3 -c "
+# sweep_reuse_gate NAME AXIS AXIS DEPTHS: a 2x2 Macro-3D mini sweep on one
+# worker, with stage reuse and again with --no-stage-reuse (the scratch
+# run). Both must list 4 points; the sorted reuse depths must equal
+# DEPTHS (a Python list); the scratch run must be all-cold; and every
+# point's fingerprint and degraded flag must equal its scratch-run twin's
+# (a restored route keeps its residual overflow).
+sweep_reuse_gate() {
+  local name=$1 depths=$4
+  local sweep=(./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2
+    --axis "$2" --axis "$3" --workers 1)
+  "${sweep[@]}" --out "target/sweep_${name}_on.txt"
+  "${sweep[@]}" --no-stage-reuse --out "target/sweep_${name}_off.txt"
+  python3 - "target/sweep_${name}_on.txt" "target/sweep_${name}_off.txt" "$depths" <<'PY'
+import json, sys
 def rows(path):
     out = {}
     for line in open(path):
         parts = line.split()
-        if parts and parts[0].count('=') >= 2:  # 'util_logic=..,sizing_rounds=..'
+        if parts and parts[0].count('=') >= 2:  # '<axis>=..,<axis>=..'
             out[parts[0]] = (int(parts[6]), parts[7], parts[8])  # (reuse depth, fingerprint, degraded)
     return out
-on, off = rows('target/sweep_reuse_on.txt'), rows('target/sweep_reuse_off.txt')
+on, off = rows(sys.argv[1]), rows(sys.argv[2])
+want = json.loads(sys.argv[3])
 assert len(on) == 4 and len(off) == 4, (on, off)
 depths = sorted(d for d, _, _ in on.values())
-assert depths == [0, 0, 4, 4], 'one cold + one depth-4 point per util_logic prefix: %s' % on
+assert depths == want, 'reuse depths %s, want %s: %s' % (depths, want, on)
 assert all(d == 0 for d, _, _ in off.values()), 'reuse off must run everything cold: %s' % off
 for label in on:
     assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
     assert on[label][2] == off[label][2], 'degraded flag mismatch at %s' % label
-print('sweep-reuse gate OK: depths %s, fingerprints and degraded flags equal to scratch run' % depths)
-"
+print('%s: depths %s, fingerprints and degraded flags equal to scratch run' % (sys.argv[1], depths))
+PY
+}
+
+echo "==> sweep-reuse gates (stage-graph prefix reuse, depth + determinism)"
+# util_logic changes the floorplan key (two cold prefixes), sizing_rounds
+# only the STA key (one depth-4 re-entry per prefix).
+sweep_reuse_gate reuse util_logic=0.55,0.6 sizing_rounds=1,2 '[0, 0, 4, 4]'
 # The F2F bond pitch keys only the STA stage (the router never reads
 # it), so a pitch x sizing_rounds grid shares one routed prefix: one
-# cold point, then three depth-4 re-entries on the restored route,
-# each degraded exactly when its scratch-run twin is.
-./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
-  --axis f2f_pitch_um=1,10 --axis sizing_rounds=1,2 --workers 1 \
-  --out target/sweep_pitch_on.txt
-./target/release/dse_sweep --flow Macro-3D --tile mini --set route_iterations=2 \
-  --axis f2f_pitch_um=1,10 --axis sizing_rounds=1,2 --workers 1 \
-  --no-stage-reuse --out target/sweep_pitch_off.txt
-python3 -c "
-def rows(path):
-    out = {}
-    for line in open(path):
-        parts = line.split()
-        if parts and parts[0].count('=') >= 2:  # 'f2f_pitch_um=..,sizing_rounds=..'
-            out[parts[0]] = (int(parts[6]), parts[7], parts[8])  # (reuse depth, fingerprint, degraded)
-    return out
-on, off = rows('target/sweep_pitch_on.txt'), rows('target/sweep_pitch_off.txt')
-assert len(on) == 4 and len(off) == 4, (on, off)
-depths = sorted(d for d, _, _ in on.values())
-assert depths == [0, 4, 4, 4], 'one cold point, every pitch change re-enters at STA: %s' % on
-assert all(d == 0 for d, _, _ in off.values()), 'reuse off must run everything cold: %s' % off
-for label in on:
-    assert on[label][1] == off[label][1], 'fingerprint mismatch at %s' % label
-    assert on[label][2] == off[label][2], 'degraded flag mismatch at %s' % label
-print('sweep-reuse pitch gate OK: depths %s, fingerprints and degraded flags equal to scratch run' % depths)
-"
+# cold point, then three depth-4 re-entries on the restored route.
+sweep_reuse_gate pitch f2f_pitch_um=1,10 sizing_rounds=1,2 '[0, 4, 4, 4]'
 
 echo "CI OK"
